@@ -120,21 +120,8 @@ RequestError AnalysisRequest::from_params(StatisticId statistic,
 
 store::Error run_source_query(const Source& source, const store::Query& query,
                               store::QueryResult* out) {
-  if (const store::EventStore* es = source.store()) {
-    *out = store::run_query(*es, query);
-    return store::Error{};
-  }
-  if (const store::ShardStore* shards = source.shards()) {
-    // Drive QueryRun shard-at-a-time (lazy const opening) — the same scan
-    // run_query(ShardStore&) wraps, minus its non-const pin bookkeeping.
-    store::ScanScratch scratch;
-    store::QueryRun run(query, &scratch);
-    for (std::size_t i = 0; i < shards->shard_count(); ++i) {
-      if (store::Error err = shards->ensure_open(i); !err.ok()) return err;
-      run.scan(shards->shard(i));
-    }
-    *out = run.finish(shards->manifest().exposure);
-    return store::Error{};
+  if (const store::StoreParts* parts = source.parts()) {
+    return store::run_query(*parts, query, out);
   }
   return store::make_error(store::ErrorCode::kBadValue,
                            "query statistic needs a store-backed source", 0);

@@ -58,45 +58,13 @@ LifetimeReport report_from_observations(
   return report;
 }
 
-std::vector<stats::SurvivalObservation> observations_of(const store::EventStore& store) {
-  std::unordered_set<std::uint32_t> failed;
-  for (const auto cls : model::kAllSystemClasses) {
-    const store::EventView& view = store.events(cls);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      if (view.type[i] == static_cast<std::uint8_t>(model::FailureType::kDisk)) {
-        failed.insert(view.disk[i]);
-      }
-    }
-  }
-
-  const double horizon = store.header().horizon_seconds;
-  const auto install = store.topology(store::ColumnId::kDiskInstall)->as_f64();
-  const auto remove = store.topology(store::ColumnId::kDiskRemove)->as_f64();
-  std::vector<stats::SurvivalObservation> out;
-  out.reserve(install.size());
-  for (std::size_t i = 0; i < install.size(); ++i) {
-    const double start = std::max(0.0, install[i]);
-    const double end = std::min(horizon, remove[i]);
-    if (end <= start) continue;  // never observed inside the window
-    stats::SurvivalObservation obs;
-    obs.duration = end - start;
-    obs.event =
-        failed.contains(static_cast<std::uint32_t>(i)) && remove[i] <= horizon;
-    out.push_back(obs);
-  }
-  return out;
-}
-
-std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore& shards) {
-  // The monolithic disk order is [every shard's initial disks, in shard
-  // order] then [every shard's replacement disks, in shard order]
-  // (docs/STORE.md), so two shard-major passes — initial rows first, then
-  // replacement rows — reproduce the single-file observation sequence
-  // exactly. Events reference shard-local disk ids, so each shard gets its
-  // own failed-disk set.
-  std::vector<std::unordered_set<std::uint32_t>> failed(shards.shard_count());
-  for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    const store::EventStore& store = shards.shard_checked(s);
+std::vector<stats::SurvivalObservation> observations_of(const store::StoreParts& parts) {
+  // Events reference part-local disk ids, so each part gets its own
+  // failed-disk set; the observations then follow the monolithic disk order
+  // the view defines, reproducing the single-file sequence exactly.
+  std::vector<std::unordered_set<std::uint32_t>> failed(parts.part_count());
+  for (std::size_t s = 0; s < parts.part_count(); ++s) {
+    const store::EventStore& store = parts.part(s);
     for (const auto cls : model::kAllSystemClasses) {
       const store::EventView& view = store.events(cls);
       for (std::size_t i = 0; i < view.size(); ++i) {
@@ -108,28 +76,23 @@ std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore&
   }
 
   std::vector<stats::SurvivalObservation> out;
-  out.reserve(static_cast<std::size_t>(shards.manifest().disks_total));
-  for (const bool replacement_pass : {false, true}) {
-    for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-      const store::EventStore& store = shards.shard(s);
-      const double horizon = store.header().horizon_seconds;
-      const auto install = store.topology(store::ColumnId::kDiskInstall)->as_f64();
-      const auto remove = store.topology(store::ColumnId::kDiskRemove)->as_f64();
-      const auto initial = static_cast<std::size_t>(shards.info(s).disks_initial);
-      const std::size_t begin = replacement_pass ? initial : 0;
-      const std::size_t end = replacement_pass ? install.size() : initial;
-      for (std::size_t i = begin; i < end; ++i) {
-        const double start = std::max(0.0, install[i]);
-        const double stop = std::min(horizon, remove[i]);
-        if (stop <= start) continue;  // never observed inside the window
-        stats::SurvivalObservation obs;
-        obs.duration = stop - start;
-        obs.event = failed[s].contains(static_cast<std::uint32_t>(i)) &&
-                    remove[i] <= horizon;
-        out.push_back(obs);
-      }
+  out.reserve(static_cast<std::size_t>(parts.disk_count()));
+  parts.for_each_disk_run([&](std::size_t s, std::size_t begin, std::size_t end) {
+    const store::EventStore& store = parts.part(s);
+    const double horizon = store.header().horizon_seconds;
+    const auto install = store.topology(store::ColumnId::kDiskInstall)->as_f64();
+    const auto remove = store.topology(store::ColumnId::kDiskRemove)->as_f64();
+    for (std::size_t i = begin; i < end; ++i) {
+      const double start = std::max(0.0, install[i]);
+      const double stop = std::min(horizon, remove[i]);
+      if (stop <= start) continue;  // never observed inside the window
+      stats::SurvivalObservation obs;
+      obs.duration = stop - start;
+      obs.event =
+          failed[s].contains(static_cast<std::uint32_t>(i)) && remove[i] <= horizon;
+      out.push_back(obs);
     }
-  }
+  });
   return out;
 }
 
@@ -137,8 +100,7 @@ std::vector<stats::SurvivalObservation> observations_of(const store::ShardStore&
 
 std::vector<stats::SurvivalObservation> disk_lifetime_observations(const Source& source) {
   if (const Dataset* d = source.dataset()) return observations_of(*d);
-  if (const store::EventStore* s = source.store()) return observations_of(*s);
-  return observations_of(*source.shards());
+  return observations_of(*source.parts());
 }
 
 LifetimeReport disk_lifetime_report(const Source& source,

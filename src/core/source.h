@@ -4,15 +4,16 @@
 // the in-memory Dataset (simulate -> emit -> parse -> classify), one taking
 // the mmap'd columnar store::EventStore. Every new statistic had to be
 // written twice. Source collapses the fork: it is a non-owning variant over
-// the backends, implicitly constructible from any of them, so a single
-// `compute_afr(const Source&)`-style entry point serves all — and the code
-// paths are pinned bit-identical by the Source equivalence suite
+// the two backend shapes, implicitly constructible from any of them, so a
+// single `compute_afr(const Source&)`-style entry point serves all — and the
+// code paths are pinned bit-identical by the Source equivalence suite
 // (tests/core/source_test.cc).
 //
-// The third backend is a store::ShardStore — a sharded store directory
-// (docs/STORE.md). Analyses over it rebase each shard's local ids through
-// the MANIFEST's prefix-sum bases and reproduce the monolithic accumulation
-// order, so results are byte-identical to the single-file store. Shards are
+// The store shape is store::StoreParts (store/parts.h): a single-file store
+// is one part, a sharded store directory (docs/STORE.md) is N parts. The
+// view rebases each part's local ids to the monolithic ones, so every
+// analysis has exactly two arms — Dataset and StoreParts — and results over
+// a shard directory are byte-identical to the single-file store. Shards are
 // faulted in lazily; wrap with open_all() first if a typed open error must
 // be surfaced (the lazy path throws std::runtime_error on a corrupt shard).
 //
@@ -25,6 +26,7 @@
 #include <variant>
 
 #include "core/dataset.h"
+#include "store/parts.h"
 #include "store/reader.h"
 #include "store/shards.h"
 
@@ -34,16 +36,17 @@ class Source {
  public:
   // Implicit by design: call sites read compute_afr(dataset) and
   // compute_afr(store), not compute_afr(Source(dataset)).
-  Source(const Dataset& dataset) noexcept : ref_(&dataset) {}          // NOLINT
-  Source(const store::EventStore& store) noexcept : ref_(&store) {}    // NOLINT
-  Source(const store::ShardStore& shards) noexcept : ref_(&shards) {}  // NOLINT
+  Source(const Dataset& dataset) noexcept : ref_(&dataset) {}  // NOLINT
+  Source(store::StoreParts parts) noexcept : ref_(parts) {}    // NOLINT
+  // An implicit argument conversion may take only one user-defined step, so
+  // the two store owners convert to the parts view here.
+  Source(const store::EventStore& file) noexcept  // NOLINT
+      : ref_(store::StoreParts(file)) {}
+  Source(const store::ShardStore& shards) noexcept  // NOLINT
+      : ref_(store::StoreParts(shards)) {}
   Source(Dataset&&) = delete;
   Source(store::EventStore&&) = delete;
   Source(store::ShardStore&&) = delete;
-
-  bool is_store() const noexcept {
-    return std::holds_alternative<const store::EventStore*>(ref_);
-  }
 
   /// The dataset backend, or nullptr otherwise.
   const Dataset* dataset() const noexcept {
@@ -51,29 +54,14 @@ class Source {
     return d != nullptr ? *d : nullptr;
   }
 
-  /// The single-file store backend, or nullptr otherwise.
-  const store::EventStore* store() const noexcept {
-    const auto* const* s = std::get_if<const store::EventStore*>(&ref_);
-    return s != nullptr ? *s : nullptr;
-  }
-
-  /// The shard-directory backend, or nullptr otherwise.
-  const store::ShardStore* shards() const noexcept {
-    const auto* const* s = std::get_if<const store::ShardStore*>(&ref_);
-    return s != nullptr ? *s : nullptr;
-  }
-
-  /// Dispatches to exactly one of the callables; all must return the same
-  /// type. The workhorse of the single-entry-point analysis functions.
-  template <typename DatasetFn, typename StoreFn, typename ShardsFn>
-  auto visit(DatasetFn&& on_dataset, StoreFn&& on_store, ShardsFn&& on_shards) const {
-    if (const Dataset* d = dataset()) return on_dataset(*d);
-    if (const store::EventStore* s = store()) return on_store(*s);
-    return on_shards(*shards());
+  /// The store backend (a single file or a shard directory), or nullptr
+  /// otherwise.
+  const store::StoreParts* parts() const noexcept {
+    return std::get_if<store::StoreParts>(&ref_);
   }
 
  private:
-  std::variant<const Dataset*, const store::EventStore*, const store::ShardStore*> ref_;
+  std::variant<const Dataset*, store::StoreParts> ref_;
 };
 
 }  // namespace storsubsim::core

@@ -1,6 +1,7 @@
 #include "core/store_bridge.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -62,124 +63,86 @@ store::Error write_store(const std::string& path, const SimulationDataset& run,
   return store::write_store_file(path, contents);
 }
 
-Dataset dataset_from_store(const store::EventStore& store) {
-  std::vector<FailureEvent> events;
-  events.reserve(static_cast<std::size_t>(store.event_count()));
-  for (const auto cls : model::kAllSystemClasses) {
-    const store::EventView& view = store.events(cls);
-    for (std::size_t i = 0; i < view.size(); ++i) {
-      events.push_back(FailureEvent{view.time[i], model::DiskId(view.disk[i]),
-                                    model::SystemId(view.system[i]),
-                                    static_cast<model::FailureType>(view.type[i])});
-    }
+namespace {
+
+/// Appends from[begin, end) to `into`. A run that is all of `from`, going
+/// into an empty vector, moves instead: a single-file store's inventory is
+/// rehydrated without a copy.
+template <typename T>
+void append_run(std::vector<T>& into, std::vector<T>& from, std::size_t begin,
+                std::size_t end) {
+  if (into.empty() && begin == 0 && end == from.size()) {
+    into = std::move(from);
+    return;
   }
-  // Restore the canonical global order across the four class shards (each
-  // shard is already (time, disk, type)-sorted internally).
-  std::sort(events.begin(), events.end(),
-            [](const FailureEvent& a, const FailureEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.disk != b.disk) return a.disk < b.disk;
-              return static_cast<int>(a.type) < static_cast<int>(b.type);
-            });
-  return Dataset(std::make_shared<log::Inventory>(store.rebuild_inventory()),
-                 std::move(events));
+  into.insert(into.end(), from.begin() + static_cast<std::ptrdiff_t>(begin),
+              from.begin() + static_cast<std::ptrdiff_t>(end));
 }
 
-SimulationDataset simulation_dataset_from_store(const store::EventStore& store) {
-  return SimulationDataset{dataset_from_store(store),
-                           sim_counters_from_meta(store.meta()),
-                           pipeline_stats_from_meta(store.meta())};
-}
+}  // namespace
 
-Dataset dataset_from_shards(const store::ShardStore& shards) {
-  const store::ShardManifest& manifest = shards.manifest();
-
-  // Per-shard local inventories, then stitch in the global order. The whole
-  // fleet is materialized either way on this path, so the intermediate copies
-  // only cost a constant factor.
-  std::vector<log::Inventory> local;
-  local.reserve(shards.shard_count());
-  for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    local.push_back(shards.shard_checked(s).rebuild_inventory());
-  }
-
+Dataset dataset_from_store(const store::StoreParts& parts) {
+  // Each part's inventory with its ids rebased in place, stitched in the
+  // global order: systems/shelves/RAID groups part by part, disks in the
+  // monolithic disk order the view defines.
   log::Inventory inv;
-  inv.horizon_seconds = manifest.horizon_seconds;
-  inv.systems.reserve(static_cast<std::size_t>(manifest.systems));
-  inv.shelves.reserve(static_cast<std::size_t>(manifest.shelves));
-  inv.disks.reserve(static_cast<std::size_t>(manifest.disks_total));
-  inv.raid_groups.reserve(static_cast<std::size_t>(manifest.raid_groups));
-
-  for (std::size_t s = 0; s < local.size(); ++s) {
-    for (const auto& sys : local[s].systems) {
-      log::InventorySystem out = sys;
-      out.id = model::SystemId(
-          static_cast<std::uint32_t>(shards.global_system(s, sys.id.value())));
-      inv.systems.push_back(out);
+  inv.horizon_seconds = parts.horizon_seconds();
+  std::vector<std::vector<log::InventoryDisk>> local_disks(parts.part_count());
+  for (std::size_t s = 0; s < parts.part_count(); ++s) {
+    log::Inventory local = parts.part(s).rebuild_inventory();
+    const auto system = [&](model::SystemId id) {
+      return model::SystemId(static_cast<std::uint32_t>(parts.global_system(s, id.value())));
+    };
+    const auto shelf = [&](model::ShelfId id) {
+      return model::ShelfId(static_cast<std::uint32_t>(parts.global_shelf(s, id.value())));
+    };
+    const auto raid_group = [&](model::RaidGroupId id) {
+      return model::RaidGroupId(
+          static_cast<std::uint32_t>(parts.global_raid_group(s, id.value())));
+    };
+    for (auto& sys : local.systems) sys.id = system(sys.id);
+    for (auto& sh : local.shelves) {
+      sh.id = shelf(sh.id);
+      sh.system = system(sh.system);
     }
-    for (const auto& shelf : local[s].shelves) {
-      log::InventoryShelf out = shelf;
-      out.id = model::ShelfId(
-          static_cast<std::uint32_t>(shards.global_shelf(s, shelf.id.value())));
-      out.system = model::SystemId(
-          static_cast<std::uint32_t>(shards.global_system(s, shelf.system.value())));
-      inv.shelves.push_back(out);
+    for (auto& rg : local.raid_groups) {
+      rg.id = raid_group(rg.id);
+      rg.system = system(rg.system);
     }
-    for (const auto& rg : local[s].raid_groups) {
-      log::InventoryRaidGroup out = rg;
-      out.id = model::RaidGroupId(
-          static_cast<std::uint32_t>(shards.global_raid_group(s, rg.id.value())));
-      out.system = model::SystemId(
-          static_cast<std::uint32_t>(shards.global_system(s, rg.system.value())));
-      inv.raid_groups.push_back(out);
+    for (auto& d : local.disks) {
+      d.id = model::DiskId(static_cast<std::uint32_t>(parts.global_disk(s, d.id.value())));
+      d.system = system(d.system);
+      d.shelf = shelf(d.shelf);
+      d.raid_group = raid_group(d.raid_group);
     }
+    append_run(inv.systems, local.systems, 0, local.systems.size());
+    append_run(inv.shelves, local.shelves, 0, local.shelves.size());
+    append_run(inv.raid_groups, local.raid_groups, 0, local.raid_groups.size());
+    local_disks[s] = std::move(local.disks);
   }
-
-  // Disks: the monolithic order is [every shard's initial disks, in shard
-  // order] then [every shard's replacement disks, in shard order]
-  // (docs/STORE.md), so two shard-major passes reproduce it exactly.
-  auto rebased_disk = [&](std::size_t s, const log::InventoryDisk& d) {
-    log::InventoryDisk out = d;
-    out.id =
-        model::DiskId(static_cast<std::uint32_t>(shards.global_disk(s, d.id.value())));
-    out.system = model::SystemId(
-        static_cast<std::uint32_t>(shards.global_system(s, d.system.value())));
-    out.shelf = model::ShelfId(
-        static_cast<std::uint32_t>(shards.global_shelf(s, d.shelf.value())));
-    out.raid_group = model::RaidGroupId(
-        static_cast<std::uint32_t>(shards.global_raid_group(s, d.raid_group.value())));
-    return out;
-  };
-  for (const bool replacement_pass : {false, true}) {
-    for (std::size_t s = 0; s < local.size(); ++s) {
-      const auto initial = static_cast<std::size_t>(shards.info(s).disks_initial);
-      const std::size_t begin = replacement_pass ? initial : 0;
-      const std::size_t end = replacement_pass ? local[s].disks.size() : initial;
-      for (std::size_t i = begin; i < end; ++i) {
-        inv.disks.push_back(rebased_disk(s, local[s].disks[i]));
-      }
-    }
-  }
-  local.clear();
+  parts.for_each_disk_run([&](std::size_t s, std::size_t begin, std::size_t end) {
+    append_run(inv.disks, local_disks[s], begin, end);
+  });
+  local_disks.clear();
 
   std::vector<FailureEvent> events;
-  events.reserve(static_cast<std::size_t>(manifest.events));
-  for (std::size_t s = 0; s < shards.shard_count(); ++s) {
-    const store::EventStore& store = shards.shard(s);
+  events.reserve(static_cast<std::size_t>(parts.event_count()));
+  for (std::size_t s = 0; s < parts.part_count(); ++s) {
     for (const auto cls : model::kAllSystemClasses) {
-      const store::EventView& view = store.events(cls);
+      const store::EventView& view = parts.part(s).events(cls);
       for (std::size_t i = 0; i < view.size(); ++i) {
         events.push_back(FailureEvent{
             view.time[i],
-            model::DiskId(static_cast<std::uint32_t>(shards.global_disk(s, view.disk[i]))),
+            model::DiskId(static_cast<std::uint32_t>(parts.global_disk(s, view.disk[i]))),
             model::SystemId(
-                static_cast<std::uint32_t>(shards.global_system(s, view.system[i]))),
+                static_cast<std::uint32_t>(parts.global_system(s, view.system[i]))),
             static_cast<model::FailureType>(view.type[i])});
       }
     }
   }
-  // Same canonical re-sort as dataset_from_store: global ids make the
-  // (time, disk, type) key identical to the monolithic one.
+  // Restore the canonical global order across classes and parts (each
+  // class of each part is already (time, disk, type)-sorted, and global ids
+  // make the key identical to the monolithic one).
   std::sort(events.begin(), events.end(),
             [](const FailureEvent& a, const FailureEvent& b) {
               if (a.time != b.time) return a.time < b.time;
@@ -189,10 +152,9 @@ Dataset dataset_from_shards(const store::ShardStore& shards) {
   return Dataset(std::make_shared<log::Inventory>(std::move(inv)), std::move(events));
 }
 
-SimulationDataset simulation_dataset_from_shards(const store::ShardStore& shards) {
-  return SimulationDataset{dataset_from_shards(shards),
-                           sim_counters_from_meta(shards.manifest().meta),
-                           pipeline_stats_from_meta(shards.manifest().meta)};
+SimulationDataset simulation_dataset_from_store(const store::StoreParts& parts) {
+  return SimulationDataset{dataset_from_store(parts), sim_counters_from_meta(parts.meta()),
+                           pipeline_stats_from_meta(parts.meta())};
 }
 
 }  // namespace storsubsim::core

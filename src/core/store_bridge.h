@@ -13,8 +13,7 @@
 #include <string>
 
 #include "core/pipeline.h"
-#include "store/reader.h"
-#include "store/shards.h"
+#include "store/parts.h"
 #include "store/writer.h"
 
 namespace storsubsim::core {
@@ -33,27 +32,17 @@ PipelineStats pipeline_stats_from_meta(const store::StoreMeta& meta);
 [[nodiscard]] store::Error write_store(const std::string& path, const SimulationDataset& run,
                          std::uint64_t seed, double scale);
 
-/// Rebuilds the exact in-memory Dataset from an opened store: events arrive
-/// in the canonical (time, disk, type) order the classifier produces, so the
-/// Dataset constructor yields bit-identical state to the pipeline path.
-Dataset dataset_from_store(const store::EventStore& store);
+/// Rebuilds the exact in-memory Dataset from an opened store — a single
+/// file or a shard directory. Events arrive in the canonical (time, disk,
+/// type) order the classifier produces and every part's ids are rebased to
+/// the monolithic ones, so the Dataset constructor yields bit-identical
+/// state to the pipeline path. This materializes the whole fleet — reach for
+/// the streaming Source analyses when the fleet is too large. Opens every
+/// shard (throws std::runtime_error on a corrupt one).
+Dataset dataset_from_store(const store::StoreParts& parts);
 
-/// Dataset plus the original run's counters from the meta block. Stage
-/// timings are zero — nothing was simulated.
-SimulationDataset simulation_dataset_from_store(const store::EventStore& store);
-
-/// Rebuilds the monolithic Dataset from a shard directory: every shard's
-/// local ids are rebased through the MANIFEST bases and the inventory is
-/// stitched in the global order (systems/shelves/RAID groups shard-major;
-/// disks as initial blocks shard-major, then replacement blocks
-/// shard-major), so the result is bit-identical to dataset_from_store on
-/// the equivalent single-file store. This materializes the whole fleet —
-/// reach for the streaming Source(ShardStore) analyses when the fleet is
-/// too large. Requires/forces all shards open (throws on a corrupt shard).
-Dataset dataset_from_shards(const store::ShardStore& shards);
-
-/// Dataset plus the original run's counters from the MANIFEST's summed
-/// meta block.
-SimulationDataset simulation_dataset_from_shards(const store::ShardStore& shards);
+/// Dataset plus the original run's counters from the meta block (summed
+/// over shards). Stage timings are zero — nothing was simulated.
+SimulationDataset simulation_dataset_from_store(const store::StoreParts& parts);
 
 }  // namespace storsubsim::core

@@ -9,8 +9,8 @@ namespace storsubsim::obs {
 namespace {
 
 double read_clock() noexcept {
-  // The project's only wall-clock read: every timer (spans, StageTimer,
-  // bench harness deltas) funnels through here, keeping the "timings are
+  // The project's only wall-clock read: every timer (spans, pipeline stage
+  // seconds, bench harness deltas) funnels through here, keeping the "timings are
   // outputs, never inputs" rule auditable at a single site.
   // storsim-lint: allow(nondeterminism) reason=observability-only span timing; values are reported, never fed back into simulation or analysis
   const auto now = std::chrono::steady_clock::now();

@@ -1,6 +1,7 @@
 #include "store/query.h"
 
 #include <map>
+#include <stdexcept>
 
 #include "obs/obs.h"
 #include "store/decode.h"
@@ -252,27 +253,28 @@ QueryResult QueryRun::finish(const ExposureTable& exposure) {
   return result;
 }
 
-QueryResult run_query(const EventStore& store, const Query& query) {
+Error run_query(const StoreParts& parts, const Query& query, QueryResult* result) {
   obs::Span span("store.query");
   ScanScratch scratch;
   QueryRun run(query, &scratch);
-  run.scan(store);
-  return run.finish(store.exposure());
+  // One part at a time: lazy open (mmap + validation on first touch), then
+  // the identical block-pruned scan. Counts are integers, so part order
+  // cannot affect the totals.
+  for (std::size_t i = 0; i < parts.part_count(); ++i) {
+    if (Error err = parts.ensure_open(i); !err.ok()) return err;
+    run.scan(parts.part(i));
+  }
+  *result = run.finish(parts.exposure());
+  return Error{};
 }
 
-Error run_query(ShardStore& store, const Query& query, QueryResult* result) {
-  obs::Span span("store.query_shards");
-  ScanScratch scratch;
-  QueryRun run(query, &scratch);
-  // One shard at a time: lazy open (mmap + validation on first touch), then
-  // the identical block-pruned scan. Counts are integers, so shard order
-  // cannot affect the totals.
-  for (std::size_t i = 0; i < store.shard_count(); ++i) {
-    if (Error err = store.ensure_open(i); !err.ok()) return err;
-    run.scan(store.shard(i));
+QueryResult run_query(const EventStore& store, const Query& query) {
+  QueryResult result;
+  // A single file was fully validated when it opened; its scan cannot fail.
+  if (Error err = run_query(StoreParts(store), query, &result); !err.ok()) {
+    throw std::logic_error(err.describe());
   }
-  *result = run.finish(store.manifest().exposure);
-  return Error{};
+  return result;
 }
 
 }  // namespace storsubsim::store

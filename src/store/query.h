@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "model/enums.h"
+#include "store/parts.h"
 #include "store/reader.h"
-#include "store/shards.h"
 
 namespace storsubsim::store {
 
@@ -94,8 +94,8 @@ struct QueryAccumulators {
 };
 
 /// One query's incremental execution: scan any number of stores (shards),
-/// then finish against the merged exposure table. Both run_query overloads
-/// are thin wrappers around this; storsimd drives it directly so the LRU
+/// then finish against the merged exposure table. run_query is a thin
+/// wrapper around this; storsimd drives it directly so the LRU
 /// can pin/scan/release one shard at a time. The scratch is borrowed, not
 /// owned — the caller controls its lifetime (and reuse across requests).
 class QueryRun {
@@ -119,15 +119,17 @@ class QueryRun {
   QueryStats stats_;
 };
 
-QueryResult run_query(const EventStore& store, const Query& query);
+/// Runs a query over a store: a single file or a shard directory. Parts
+/// are opened lazily, one at a time, and scanned with the same block-pruned
+/// loop; the per-group counts are integer sums over parts (exact regardless
+/// of order) and the rates come from the merged exposure table, so a shard
+/// directory answers byte-identically to the equivalent single-file store.
+/// A shard that fails validation on first touch surfaces as the Error.
+[[nodiscard]] Error run_query(const StoreParts& parts, const Query& query,
+                              QueryResult* result);
 
-/// The same query over a shard directory. Shards are opened lazily, one at
-/// a time, and scanned with the same block-pruned loop; the per-group
-/// counts are integer sums over shards (exact regardless of order) and the
-/// rates come from the MANIFEST's merged exposure table, so the result is
-/// byte-identical to running the query against the equivalent single-file
-/// store. Non-const because shards may need to be opened; a shard that
-/// fails validation on first touch surfaces as the returned Error.
-[[nodiscard]] Error run_query(ShardStore& store, const Query& query, QueryResult* result);
+/// The single-file shorthand: its one part is already open, so nothing can
+/// fail.
+QueryResult run_query(const EventStore& store, const Query& query);
 
 }  // namespace storsubsim::store

@@ -10,18 +10,8 @@
 // counters — so analyses over the directory reproduce the single-file
 // answers byte for byte without ever materializing the whole fleet.
 //
-// Global id rebasing contract (docs/STORE.md): the monolithic fleet's disk
-// vector is [every shard's initial disks, in shard order] followed by
-// [every shard's replacement disks, in shard order] — replacements are
-// appended after all initial disks, and the serial replacement replay walks
-// shelves in global order, which groups by shard. A shard-local disk id L
-// therefore globalizes as
-//
-//   L <  disks_initial : disk_base + L
-//   L >= disks_initial : total_disks_initial + replacement_base
-//                        + (L - disks_initial)
-//
-// while systems/shelves/raid groups globalize by plain base offsets.
+// Global id rebasing (docs/STORE.md) lives in store::StoreParts
+// (store/parts.h), the one view over a shard directory and a single file.
 #pragma once
 
 #include <cstdint>
@@ -156,25 +146,6 @@ class ShardStore {
   /// shard fails validation. For analysis paths whose signatures have no
   /// Error channel; prefer ensure_open + shard where an Error can surface.
   const EventStore& shard_checked(std::size_t i) const;
-
-  // --- global id rebasing (see header comment) -----------------------------
-  std::uint64_t global_system(std::size_t i, std::uint32_t local) const noexcept {
-    return manifest_.shards[i].system_base + local;
-  }
-  std::uint64_t global_shelf(std::size_t i, std::uint32_t local) const noexcept {
-    return manifest_.shards[i].shelf_base + local;
-  }
-  std::uint64_t global_raid_group(std::size_t i, std::uint32_t local) const noexcept {
-    if (local == kInvalidId) return kInvalidId;
-    return manifest_.shards[i].raid_group_base + local;
-  }
-  std::uint64_t global_disk(std::size_t i, std::uint32_t local) const noexcept {
-    const ShardInfo& s = manifest_.shards[i];
-    if (local < s.disks_initial) return s.disk_base + local;
-    return manifest_.disks_initial + s.replacement_base + (local - s.disks_initial);
-  }
-
-  static constexpr std::uint32_t kInvalidId = 0xffffffffu;
 
  private:
   std::string dir_;

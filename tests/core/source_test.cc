@@ -201,17 +201,13 @@ TEST_F(SourceEquivalence, FilteredDatasetSourceMatchesLegacyFilterPath) {
 
 TEST_F(SourceEquivalence, SourceAccessorsReportBackend) {
   const core::Source from_dataset(dataset());
-  EXPECT_FALSE(from_dataset.is_store());
   EXPECT_EQ(from_dataset.dataset(), &dataset());
-  EXPECT_EQ(from_dataset.store(), nullptr);
+  EXPECT_EQ(from_dataset.parts(), nullptr);
 
+  // A single-file store is the one-part case of the store view.
   const core::Source from_store(event_store());
-  EXPECT_TRUE(from_store.is_store());
   EXPECT_EQ(from_store.dataset(), nullptr);
-  EXPECT_EQ(from_store.store(), &event_store());
-
-  const int visited = from_store.visit([](const core::Dataset&) { return 1; },
-                                       [](const store::EventStore&) { return 2; },
-                                       [](const store::ShardStore&) { return 3; });
-  EXPECT_EQ(visited, 2);
+  ASSERT_NE(from_store.parts(), nullptr);
+  EXPECT_EQ(from_store.parts()->part_count(), 1u);
+  EXPECT_EQ(&from_store.parts()->part(0), &event_store());
 }

@@ -29,12 +29,14 @@
 #include "core/source.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
+#include "store/parts.h"
 #include "store/query.h"
 #include "store/reader.h"
 #include "store/shards.h"
 #include "util/parallel.h"
 
 namespace core = storsubsim::core;
+namespace log = storsubsim::log;
 namespace model = storsubsim::model;
 namespace store = storsubsim::store;
 namespace util = storsubsim::util;
@@ -276,7 +278,7 @@ TEST_F(ShardEquivalence, QueriesMatchTheSingleFileStore) {
 // id rebasing, two-pass disk order, canonical event re-sort) must equal the
 // Dataset the live pipeline produced.
 TEST_F(ShardEquivalence, DatasetFromShardsEqualsThePipelineDataset) {
-  const core::Dataset rebuilt = core::dataset_from_shards(shards());
+  const core::Dataset rebuilt = core::dataset_from_store(shards());
   ASSERT_EQ(rebuilt.events().size(), dataset().events().size());
   for (std::size_t i = 0; i < rebuilt.events().size(); ++i) {
     EXPECT_TRUE(rebuilt.events()[i] == dataset().events()[i]) << "event " << i;
@@ -300,12 +302,88 @@ TEST_F(ShardEquivalence, DatasetFromShardsEqualsThePipelineDataset) {
 TEST_F(ShardEquivalence, SourceReportsTheShardBackend) {
   const core::Source source(shards());
   EXPECT_EQ(source.dataset(), nullptr);
-  EXPECT_EQ(source.store(), nullptr);
-  EXPECT_EQ(source.shards(), &shards());
-  const int visited = source.visit([](const core::Dataset&) { return 1; },
-                                   [](const store::EventStore&) { return 2; },
-                                   [](const store::ShardStore&) { return 3; });
-  EXPECT_EQ(visited, 3);
+  ASSERT_NE(source.parts(), nullptr);
+  ASSERT_EQ(source.parts()->part_count(), shards().shard_count());
+  for (std::size_t i = 0; i < shards().shard_count(); ++i) {
+    EXPECT_EQ(&source.parts()->part(i), &shards().shard(i));
+  }
+}
+
+// --- store::StoreParts: the one place id rebasing lives ---------------------
+
+namespace {
+
+/// The ShardEquivalence fleet, seen through the parts view.
+class PartsView : public ShardEquivalence {};
+
+}  // namespace
+
+// A single file is one part with zero bases whose disks all count as
+// initial: every id, replacement disks included, maps to itself.
+TEST_F(PartsView, SingleFilePartHasIdentityIds) {
+  const store::StoreParts parts(mono());
+  ASSERT_EQ(parts.part_count(), 1u);
+  EXPECT_EQ(&parts.part(0), &mono());
+
+  const log::Inventory inv = mono().rebuild_inventory();
+  ASSERT_GT(mono().meta().sim_replacements, 0u);  // replacement rows exist
+  for (const auto& d : inv.disks) {
+    EXPECT_EQ(parts.global_disk(0, d.id.value()), d.id.value());
+    EXPECT_EQ(parts.global_system(0, d.system.value()), d.system.value());
+    EXPECT_EQ(parts.global_shelf(0, d.shelf.value()), d.shelf.value());
+    EXPECT_EQ(parts.global_raid_group(0, d.raid_group.value()), d.raid_group.value());
+  }
+  for (const auto& rg : inv.raid_groups) {
+    EXPECT_EQ(parts.global_raid_group(0, rg.id.value()), rg.id.value());
+  }
+
+  std::size_t runs = 0;
+  parts.for_each_disk_run([&](std::size_t part, std::size_t begin, std::size_t end) {
+    ++runs;
+    EXPECT_EQ(part, 0u);
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, inv.disks.size());
+  });
+  EXPECT_EQ(runs, 1u);
+  EXPECT_EQ(parts.disk_count(), inv.disks.size());
+  EXPECT_EQ(parts.event_count(), mono().event_count());
+}
+
+// Over N shards the view's disk order — its runs, rebased — is exactly the
+// monolithic store's rebuild_inventory() disk order, record for record.
+TEST_F(PartsView, GlobalDiskOrderMatchesTheMonolithicInventory) {
+  const store::StoreParts parts(shards());
+  ASSERT_EQ(parts.part_count(), 3u);
+  std::size_t parts_with_replacements = 0;
+  for (std::size_t s = 0; s < shards().shard_count(); ++s) {
+    if (shards().info(s).disks_total > shards().info(s).disks_initial) {
+      ++parts_with_replacements;
+    }
+  }
+  ASSERT_GE(parts_with_replacements, 2u);  // the interleaving is exercised
+
+  const log::Inventory mono_inv = mono().rebuild_inventory();
+  std::vector<log::Inventory> local;
+  for (std::size_t s = 0; s < parts.part_count(); ++s) {
+    local.push_back(parts.part(s).rebuild_inventory());
+  }
+  std::size_t next = 0;
+  parts.for_each_disk_run([&](std::size_t s, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i, ++next) {
+      ASSERT_LT(next, mono_inv.disks.size());
+      const log::InventoryDisk& d = local[s].disks[i];
+      const log::InventoryDisk& m = mono_inv.disks[next];
+      EXPECT_EQ(parts.global_disk(s, d.id.value()), m.id.value()) << "disk " << next;
+      EXPECT_EQ(parts.global_system(s, d.system.value()), m.system.value());
+      EXPECT_EQ(parts.global_shelf(s, d.shelf.value()), m.shelf.value());
+      EXPECT_EQ(parts.global_raid_group(s, d.raid_group.value()), m.raid_group.value());
+      EXPECT_EQ(d.slot, m.slot);
+      EXPECT_EQ(d.install_time, m.install_time);
+      EXPECT_EQ(d.remove_time, m.remove_time);
+    }
+  });
+  EXPECT_EQ(next, mono_inv.disks.size());
+  EXPECT_EQ(parts.disk_count(), mono_inv.disks.size());
 }
 
 // The storsimd LRU drives the cache through open_shard/release_shard; the

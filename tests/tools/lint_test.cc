@@ -563,6 +563,14 @@ TEST(AnalysisOverloadRule, FlagsEveryConcreteBackendRedeclaration) {
   }
 }
 
+TEST(AnalysisOverloadRule, FlagsAStorePartsRedeclaration) {
+  const auto report =
+      lint_fixture_tree({"analysis_overload/src/core/bad_parts_overload.cc"});
+  EXPECT_EQ(count_rule(report, lint::Rule::kAnalysisOverload), 1u)
+      << lint::render_json_report(report);
+  EXPECT_TRUE(any_finding_contains(report, "StoreParts"));
+}
+
 TEST(AnalysisOverloadRule, SourceOverloadsHelpersAndCallSitesAreClean) {
   const auto report =
       lint_fixture_tree({"analysis_overload/src/core/clean_analysis_overload.cc"});

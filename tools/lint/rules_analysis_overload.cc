@@ -35,10 +35,11 @@ constexpr std::array<std::string_view, 7> kUnifiedEntryPoints = {
     "disk_lifetime_report",
 };
 
-constexpr std::array<std::string_view, 3> kBackendTypes = {
+constexpr std::array<std::string_view, 4> kBackendTypes = {
     "Dataset",
     "EventStore",
     "ShardStore",
+    "StoreParts",
 };
 
 bool is_unified_entry_point(std::string_view name) {
@@ -48,9 +49,8 @@ bool is_unified_entry_point(std::string_view name) {
   return false;
 }
 
-/// Whole-word, case-sensitive containment: "EventStore" matches, the
-/// store-span overload's "EventView" (or a lowercase variable named
-/// "dataset") does not.
+/// Whole-word, case-sensitive containment: "EventStore" matches, an
+/// "EventView" span (or a lowercase variable named "dataset") does not.
 bool contains_word(std::string_view text, std::string_view word) {
   std::size_t pos = 0;
   while ((pos = text.find(word, pos)) != std::string_view::npos) {

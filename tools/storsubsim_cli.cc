@@ -73,6 +73,7 @@
 #include "sim/precursors.h"
 #include "sim/scenario.h"
 #include "store/format.h"
+#include "store/parts.h"
 #include "store/query.h"
 #include "store/shards.h"
 #include "util/parallel.h"
@@ -248,6 +249,20 @@ bool open_store(const std::string& path, store::EventStore& out) {
   return true;
 }
 
+/// Opens the store at `path` — a shard directory or a single file — into
+/// the matching owner and returns the view over it; nullopt, with the error
+/// printed, when it does not open.
+std::optional<store::StoreParts> open_parts(const std::string& path,
+                                            store::EventStore& file,
+                                            store::ShardStore& shards) {
+  if (is_shard_dir(path)) {
+    if (!open_shards(path, shards)) return std::nullopt;
+    return store::StoreParts(shards);
+  }
+  if (!open_store(path, file)) return std::nullopt;
+  return store::StoreParts(file);
+}
+
 std::optional<core::Dataset> load_dataset(const Args& args,
                                           std::vector<log::LogRecord>* records_out,
                                           std::string log_path = "") {
@@ -324,49 +339,39 @@ int cmd_analyze(const Args& args) {
       log_path = input;
     }
   }
-  // A shard directory routes through the ShardStore backend; analyses over
-  // it are byte-identical to the equivalent single-file store.
-  std::string shard_dir;
-  if (!store_path.empty() && is_shard_dir(store_path)) {
-    shard_dir = store_path;
-    store_path.clear();
-  }
-  const bool have_shards = !shard_dir.empty();
-  const bool have_store = !store_path.empty();
+  // A shard directory and a single file both open as a store::StoreParts
+  // view; analyses over a directory are byte-identical to the equivalent
+  // single-file store.
+  store::EventStore event_store;
   store::ShardStore shard_store;
-  if (have_shards) {
-    if (!open_shards(shard_dir, shard_store)) return 1;
-    // analyze touches every shard; open them all now so a corrupt shard
+  std::optional<store::StoreParts> parts;
+  if (!store_path.empty()) {
+    parts = open_parts(store_path, event_store, shard_store);
+    if (!parts) return 1;
+    // analyze touches every part; open them all now so a corrupt shard
     // surfaces as a typed error instead of a mid-analysis exception.
-    if (const auto err = shard_store.open_all(); !err.ok()) {
-      std::cerr << "cannot open shard directory " << shard_dir << ": " << err.describe()
+    if (const auto err = parts->open_all(); !err.ok()) {
+      std::cerr << "cannot open shard directory " << store_path << ": " << err.describe()
                 << "\n";
       return 1;
     }
   }
-  store::EventStore event_store;
-  if (have_store && !open_store(store_path, event_store)) return 1;
   const std::string report = args.get("report", "afr");
 
   // The store fast paths serve the whole-fleet cohort straight off the mapped
   // columns; a filtered cohort (or a report that joins per-event inventory)
   // goes through the reconstructed Dataset instead — same results either way.
-  const bool needs_dataset = (!have_store && !have_shards) || wants_filter(args) ||
-                             report == "events" || report == "vulnerability";
+  const bool needs_dataset = !parts || wants_filter(args) || report == "events" ||
+                             report == "vulnerability";
   std::optional<core::Dataset> dataset;
   if (needs_dataset) {
-    dataset = have_shards
-                  ? apply_cli_filter(core::dataset_from_shards(shard_store), args)
-                  : (have_store
-                         ? apply_cli_filter(core::dataset_from_store(event_store), args)
-                         : load_dataset(args, nullptr, log_path));
+    dataset = parts ? apply_cli_filter(core::dataset_from_store(*parts), args)
+                    : load_dataset(args, nullptr, log_path);
     if (!dataset) return usage();
   }
   // One polymorphic handle for the analysis calls below: the filtered Dataset
-  // when one was built, the mapped store(s) otherwise.
-  const core::Source source = dataset      ? core::Source(*dataset)
-                              : have_shards ? core::Source(shard_store)
-                                            : core::Source(event_store);
+  // when one was built, the mapped store otherwise.
+  const core::Source source = dataset ? core::Source(*dataset) : core::Source(*parts);
 
   // The table-producing reports go through core::AnalysisRequest +
   // core::render_statistic — the same typed request and renderer the
@@ -653,14 +658,10 @@ int cmd_store_build(const Args& args) {
 int cmd_store_query(const Args& args) {
   const std::string path = args.get("store");
   if (path.empty()) return usage();
-  const bool sharded = is_shard_dir(path);
+  store::EventStore file;
   store::ShardStore shards;
-  store::EventStore es;
-  if (sharded) {
-    if (!open_shards(path, shards)) return 1;
-  } else if (!open_store(path, es)) {
-    return 1;
-  }
+  const auto parts = open_parts(path, file, shards);
+  if (!parts) return 1;
 
   // Flags travel as raw strings into the one shared validator
   // (core::AnalysisRequest::from_params) — the daemon runs the identical
@@ -687,13 +688,9 @@ int cmd_store_query(const Args& args) {
   const store::Query& query = request.query;
 
   store::QueryResult result;
-  if (sharded) {
-    if (const auto err = store::run_query(shards, query, &result); !err.ok()) {
-      std::cerr << "query over " << path << " failed: " << err.describe() << "\n";
-      return 1;
-    }
-  } else {
-    result = store::run_query(es, query);
+  if (const auto err = store::run_query(*parts, query, &result); !err.ok()) {
+    std::cerr << "query over " << path << " failed: " << err.describe() << "\n";
+    return 1;
   }
   std::cout << core::render_query_result(result, args.has_flag("csv"));
   std::cerr << "scanned " << result.stats.rows_scanned << " rows in "
