@@ -1,11 +1,8 @@
 #include "serve/daemon.h"
 
-#include <algorithm>
-#include <array>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
-#include <fstream>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -26,27 +23,6 @@ namespace {
 /// Seconds a blocked mid-frame read waits before the connection is treated
 /// as dead (SO_RCVTIMEO backstop — the poll loop handles the idle case).
 constexpr long kReadTimeoutSeconds = 30;
-
-bool is_store_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, store::kMagic.size()> head{};
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         std::equal(head.begin(), head.end(), store::kMagic.begin());
-}
-
-bool is_shard_dir(const std::string& path) {
-  std::string manifest_path(path);
-  manifest_path.push_back('/');
-  manifest_path.append(store::kManifestFileName);
-  std::ifstream in(manifest_path, std::ios::binary);
-  if (!in) return false;
-  std::string head(store::kManifestMagic.size(), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         head == store::kManifestMagic;
-}
 
 [[nodiscard]] store::Error errno_error(std::string_view what) {
   std::string detail(what);
@@ -72,23 +48,6 @@ struct PinAllGuard {
 };
 
 }  // namespace
-
-std::unique_ptr<store::ScanScratch> ScratchPool::acquire() {
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (!free_.empty()) {
-      auto scratch = std::move(free_.back());
-      free_.pop_back();
-      return scratch;
-    }
-  }
-  return std::make_unique<store::ScanScratch>();  // cold path only
-}
-
-void ScratchPool::release(std::unique_ptr<store::ScanScratch> scratch) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  free_.push_back(std::move(scratch));
-}
 
 Daemon::~Daemon() {
   request_drain();
@@ -120,24 +79,14 @@ void Daemon::close_fds() noexcept {
 store::Error Daemon::start(const ServeOptions& options) {
   options_ = options;
 
-  if (is_shard_dir(options.input)) {
-    sharded_ = true;
-    if (store::Error err = shard_store_.open(options.input); !err.ok()) return err;
-    lru_ = std::make_unique<ShardLru>(&shard_store_, options.max_open_shards);
-    // Validate every shard up front — a corrupt shard must fail start(),
-    // not some query hours later. The LRU evicts as it goes, so peak
-    // memory during validation respects the cap.
-    for (std::size_t i = 0; i < shard_store_.shard_count(); ++i) {
-      if (store::Error err = lru_->pin(i); !err.ok()) return err;
-      lru_->unpin(i);
-    }
-  } else if (is_store_file(options.input)) {
-    if (store::Error err = event_store_.open(options.input); !err.ok()) return err;
-  } else {
-    std::string detail("input ");
-    detail.append(options.input)
-        .append(" is neither a STORCOL1 store nor a shard directory");
-    return store::make_error(store::ErrorCode::kBadMagic, detail, 0);
+  if (store::Error err = input_.open(options.input); !err.ok()) return err;
+  lru_ = std::make_unique<ShardLru>(input_.parts(), options.max_open_shards);
+  // Validate every part up front — a corrupt shard must fail start(), not
+  // some query hours later. The LRU evicts as it goes, so peak memory
+  // during validation respects the cap.
+  for (std::size_t i = 0; i < lru_->parts().part_count(); ++i) {
+    if (store::Error err = lru_->pin(i); !err.ok()) return err;
+    lru_->unpin(i);
   }
 
   if (!options.replicates.empty()) {
@@ -304,16 +253,15 @@ std::string Daemon::dispatch(const Request& request) {
   // reads naturally; the canonical name is "stats".
   const std::string endpoint =
       request.endpoint == "/stats" ? std::string("stats") : request.endpoint;
-  const bool is_analysis = endpoint == "afr" || endpoint == "afr_by_class" ||
-                           endpoint == "correlation" || endpoint == "tbf" ||
-                           endpoint == "lifetime";
-  if (!is_analysis && endpoint != "query" && endpoint != "stats" &&
-      endpoint != "replicate_summary") {
+  // Every statistic is named by core::statistic_from_endpoint; only stats
+  // and replicate_summary are the daemon's own.
+  const auto statistic = core::statistic_from_endpoint(endpoint);
+  if (!statistic.has_value() && endpoint != "stats" && endpoint != "replicate_summary") {
     std::string message("unknown endpoint '");
     message.append(request.endpoint).append("'");
     return render_error_response("unknown-endpoint", message);
   }
-  if (!request.params.empty() && endpoint != "query") {
+  if (!request.params.empty() && statistic != core::StatisticId::kQuery) {
     return render_error_response("bad-request",
                                  "params are only valid for the query endpoint");
   }
@@ -332,18 +280,15 @@ std::string Daemon::dispatch(const Request& request) {
       .add(1);
 
   std::string response;
-  if (endpoint == "stats") {
+  if (statistic.has_value()) {
+    response = run_statistic(*statistic, request);
+  } else if (endpoint == "stats") {
     response = render_ok_response(endpoint, obs::registry().snapshot().to_text());
-  } else if (endpoint == "query") {
-    response = run_store_query(request);
-  } else if (endpoint == "replicate_summary") {
-    Request canonical = request;
-    canonical.endpoint = endpoint;
-    response = run_replicate_summary(canonical);
+  } else if (!have_replicates_) {
+    response = render_error_response("bad-request", "daemon was started without --replicates");
   } else {
-    Request canonical = request;
-    canonical.endpoint = endpoint;
-    response = run_analysis(canonical);
+    response = render_ok_response(
+        endpoint, replicate::render_summary(replicate_summary_, request.csv));
   }
 
   const double seconds = span.stop();
@@ -355,74 +300,46 @@ std::string Daemon::dispatch(const Request& request) {
   return response;
 }
 
-std::string Daemon::run_analysis(const Request& request) {
-  // dispatch() vetted the endpoint name, so the lookup cannot fail; the
-  // typed request then renders through core::render_statistic — the same
-  // entry point `storsubsim analyze` uses, which is the byte-identity
-  // guarantee by construction.
-  const auto statistic = core::statistic_from_endpoint(request.endpoint);
-  if (!statistic.has_value()) {
-    std::string message("unknown endpoint '");
-    message.append(request.endpoint).append("'");
-    return render_error_response("unknown-endpoint", message);
-  }
+std::string Daemon::run_statistic(core::StatisticId statistic, const Request& request) {
+  // The typed request renders through core::render_statistic — the same
+  // validator and entry point `storsubsim analyze` / `store query` use,
+  // which is the byte-identity guarantee by construction.
   core::AnalysisRequest analysis;
-  if (RequestError err = core::AnalysisRequest::from_params(*statistic, request.params,
+  if (RequestError err = core::AnalysisRequest::from_params(statistic, request.params,
                                                             request.csv, &analysis);
       !err.ok()) {
     return render_error_response(err.code, err.message);
   }
-
-  if (!sharded_) {
-    const core::Source source(event_store_);
-    return render_ok_response(request.endpoint, core::render_statistic(source, analysis));
+  if (statistic == core::StatisticId::kQuery) {
+    return run_store_query(analysis, request.endpoint);
   }
-  // Whole-fleet analyses touch every shard; pin them all so the analysis
-  // code's lazy shard access can never race an eviction.
+  // Whole-fleet analyses touch every part; pin them all so the analysis
+  // code's lazy part access can never race an eviction.
   if (store::Error err = lru_->pin_all(); !err.ok()) {
     return render_error_response("store-error", err.describe());
   }
   PinAllGuard guard{lru_.get()};
-  const core::Source source(shard_store_);
+  const core::Source source(lru_->parts());
   return render_ok_response(request.endpoint, core::render_statistic(source, analysis));
 }
 
-std::string Daemon::run_replicate_summary(const Request& request) {
-  if (!have_replicates_) {
-    return render_error_response("bad-request",
-                                 "daemon was started without --replicates");
+std::string Daemon::run_store_query(const core::AnalysisRequest& analysis,
+                                    const std::string& endpoint) {
+  // Part-at-a-time, pinned only while scanned: a query over a huge fleet
+  // stays inside the --max-open-shards budget. The scratch is a fixed-size
+  // arena on this pool thread's stack, as in store::run_query.
+  const store::StoreParts& parts = lru_->parts();
+  store::ScanScratch scratch;
+  store::QueryRun run(analysis.query, &scratch);
+  for (std::size_t i = 0; i < parts.part_count(); ++i) {
+    if (store::Error err = lru_->pin(i); !err.ok()) {
+      return render_error_response("store-error", err.describe());
+    }
+    run.scan(parts.part(i));
+    lru_->unpin(i);
   }
   return render_ok_response(
-      request.endpoint, replicate::render_summary(replicate_summary_, request.csv));
-}
-
-std::string Daemon::run_store_query(const Request& request) {
-  store::Query query;
-  if (RequestError err = make_query(request.params, &query); !err.ok()) {
-    return render_error_response(err.code, err.message);
-  }
-  auto scratch = scratch_pool_.acquire();
-  store::QueryRun run(query, scratch.get());
-  store::QueryResult result;
-  if (sharded_) {
-    // Shard-at-a-time, pinned only while scanned: a query over a huge
-    // fleet stays inside the --max-open-shards budget.
-    for (std::size_t i = 0; i < shard_store_.shard_count(); ++i) {
-      if (store::Error err = lru_->pin(i); !err.ok()) {
-        scratch_pool_.release(std::move(scratch));
-        return render_error_response("store-error", err.describe());
-      }
-      run.scan(shard_store_.shard(i));
-      lru_->unpin(i);
-    }
-    result = run.finish(shard_store_.manifest().exposure);
-  } else {
-    run.scan(event_store_);
-    result = run.finish(event_store_.exposure());
-  }
-  scratch_pool_.release(std::move(scratch));
-  return render_ok_response(request.endpoint,
-                            core::render_query_result(result, request.csv));
+      endpoint, core::render_query_result(run.finish(parts.exposure()), analysis.csv));
 }
 
 }  // namespace storsubsim::serve

@@ -1,16 +1,18 @@
 // storsimd: the long-lived query daemon behind `storsubsim serve`.
 //
-// One Daemon owns one read-only input — a monolithic STORCOL1 store or a
-// STORSHARD1 shard directory — mapped and validated once at start(), and a
-// unix-domain stream socket accepting any number of concurrent clients.
-// Each connection gets a thread that reads length-prefixed frames
-// (serve/protocol.h); request bodies execute on the daemon's util
-// thread pool and render through core/analysis_render.h, so every answer
-// is byte-identical to the offline `storsubsim analyze` / `store query`
-// output for the same input. Shard mappings are managed by a ShardLru
-// (--max-open-shards); query scans draw ScanScratch arenas from a reuse
-// pool, so the steady-state query path allocates nothing but the response
-// string.
+// One Daemon owns one read-only input, opened through store::StoreOwner —
+// a monolithic STORCOL1 store or a STORSHARD1 shard directory, either way
+// one store::StoreParts view — validated once at start(), and a unix-domain
+// stream socket accepting any number of concurrent clients. Each connection
+// gets a thread that reads length-prefixed frames (serve/protocol.h);
+// request bodies execute on the daemon's util thread pool, are validated by
+// core::AnalysisRequest::from_params and render through
+// core/analysis_render.h, so every answer is byte-identical to the offline
+// `storsubsim analyze` / `store query` output for the same input. Nothing
+// after start() knows the input's shape: a ShardLru (--max-open-shards)
+// pins the view's parts, a single file being one part that never leaves,
+// and a query scans part by part through a ScanScratch on the stack, so
+// the steady-state query path allocates nothing but the response string.
 //
 // Shutdown is a drain: request_drain() (async-signal-safe — one byte down
 // a self-pipe) stops the accept loop, lets in-flight requests finish, and
@@ -30,8 +32,7 @@
 #include "replicate/replicate.h"
 #include "serve/protocol.h"
 #include "serve/shard_lru.h"
-#include "store/reader.h"
-#include "store/shards.h"
+#include "store/parts.h"
 #include "util/parallel.h"
 
 namespace storsubsim::serve {
@@ -45,18 +46,6 @@ struct ServeOptions {
   /// set, the replicate_summary endpoint serves its rendered summary and
   /// the stats endpoint carries its provenance counters.
   std::string replicates;
-};
-
-/// Reusable pool of query-scan arenas. Warm requests pop an existing
-/// scratch instead of allocating 12 KiB of bitmaps per query.
-class ScratchPool {
- public:
-  std::unique_ptr<store::ScanScratch> acquire();
-  void release(std::unique_ptr<store::ScanScratch> scratch);
-
- private:
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<store::ScanScratch>> free_;
 };
 
 class Daemon {
@@ -84,8 +73,7 @@ class Daemon {
   /// byte here is equivalent to request_drain().
   int drain_signal_fd() const noexcept { return drain_write_fd_; }
 
-  bool sharded() const noexcept { return sharded_; }
-  /// Non-null after start() on a shard directory (test introspection).
+  /// Non-null after a successful start() (test introspection).
   const ShardLru* lru() const noexcept { return lru_.get(); }
 
   /// Computes the response body for one request body (exposed for the
@@ -96,19 +84,16 @@ class Daemon {
   void close_fds() noexcept;
   void connection_loop(int fd);
   std::string dispatch(const Request& request);
-  std::string run_analysis(const Request& request);
-  std::string run_store_query(const Request& request);
-  std::string run_replicate_summary(const Request& request);
+  std::string run_statistic(core::StatisticId statistic, const Request& request);
+  std::string run_store_query(const core::AnalysisRequest& analysis,
+                              const std::string& endpoint);
 
   ServeOptions options_;
-  bool sharded_ = false;
-  store::EventStore event_store_;
-  store::ShardStore shard_store_;
+  store::StoreOwner input_;
   replicate::ReplicateSummary replicate_summary_;
   bool have_replicates_ = false;
   std::unique_ptr<ShardLru> lru_;
   std::unique_ptr<util::ThreadPool> pool_;
-  ScratchPool scratch_pool_;
 
   int listen_fd_ = -1;
   int drain_read_fd_ = -1;

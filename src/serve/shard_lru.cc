@@ -4,17 +4,15 @@
 
 namespace storsubsim::serve {
 
-ShardLru::ShardLru(const store::ShardStore* store, std::size_t max_open)
-    : store_(store),
+ShardLru::ShardLru(store::StoreParts parts, std::size_t max_open)
+    : parts_(parts),
       max_open_(max_open),
-      pins_(store->shard_count(), 0),
-      last_use_(store->shard_count(), 0) {}
+      pins_(parts.part_count(), 0),
+      last_use_(parts.part_count(), 0) {}
 
 store::Error ShardLru::pin(std::size_t i) {
   std::lock_guard<std::mutex> guard(mutex_);
-  if (!store_->is_open(i)) {
-    if (store::Error err = store_->open_shard(i); !err.ok()) return err;
-  }
+  if (store::Error err = parts_.ensure_open(i); !err.ok()) return err;
   ++pins_[i];
   last_use_[i] = ++tick_;
   evict_locked();
@@ -24,7 +22,7 @@ store::Error ShardLru::pin(std::size_t i) {
 void ShardLru::unpin(std::size_t i) noexcept {
   std::lock_guard<std::mutex> guard(mutex_);
   --pins_[i];
-  // Shards at or under the cap stay warm for the next query; but an
+  // Parts at or under the cap stay warm for the next query; but an
   // analysis that pinned the whole directory over the budget must hand the
   // memory back as it releases, not hold it until the next pin.
   evict_locked();
@@ -51,27 +49,27 @@ std::uint64_t ShardLru::evictions() const noexcept {
 
 std::size_t ShardLru::open_count() const noexcept {
   std::lock_guard<std::mutex> guard(mutex_);
-  return store_->open_count();
+  return parts_.open_count();
 }
 
 void ShardLru::evict_locked() {
   if (max_open_ == 0) return;
   STORSIM_OBS_COUNTER(c_evictions, "serve.shard_evictions",
                       ::storsubsim::obs::Stability::kSchedulingDependent);
-  while (store_->open_count() > max_open_) {
-    // Oldest unpinned mapped shard; pinned shards are immune, so with every
-    // mapped shard pinned there is nothing to evict and the cap yields.
+  while (parts_.open_count() > max_open_) {
+    // Oldest unpinned mapped part; pinned parts are immune, so with every
+    // mapped part pinned there is nothing to evict and the cap yields.
     std::size_t victim = pins_.size();
     std::uint64_t oldest = 0;
     for (std::size_t i = 0; i < pins_.size(); ++i) {
-      if (!store_->is_open(i) || pins_[i] != 0) continue;
+      if (!parts_.is_open(i) || pins_[i] != 0) continue;
       if (victim == pins_.size() || last_use_[i] < oldest) {
         victim = i;
         oldest = last_use_[i];
       }
     }
     if (victim == pins_.size()) return;
-    store_->release_shard(victim);
+    parts_.release(victim);
     ++evictions_;
     STORSIM_OBS_ADD(c_evictions, 1);
   }

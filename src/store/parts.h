@@ -19,11 +19,13 @@
 // construction from temporaries is deleted. Shard parts open lazily on first
 // access (part() throws std::runtime_error naming a corrupt shard; call
 // open_all() first where a typed error must surface). Lazy opening is not
-// synchronized — open every part before sharing a view across threads.
+// synchronized — open every part before sharing a view across threads, or
+// serialize opens and releases the way storsimd's serve::ShardLru does.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "store/format.h"
 #include "store/reader.h"
@@ -57,6 +59,22 @@ class StoreParts {
   /// fails validation (for analysis paths with no Error channel).
   const EventStore& part(std::size_t i) const {
     return file_ != nullptr ? *file_ : shards_->shard_checked(i);
+  }
+
+  // --- mapping cache (serve::ShardLru drives these) -------------------------
+  /// True while part i is mapped; a single file always is.
+  bool is_open(std::size_t i) const noexcept {
+    return file_ != nullptr || shards_->is_open(i);
+  }
+  /// Parts currently mapped.
+  std::size_t open_count() const noexcept {
+    return file_ != nullptr ? 1 : shards_->open_count();
+  }
+  /// Unmaps part i; a later ensure_open revalidates and remaps it. The caller
+  /// guarantees no live views into the part. A single file is never
+  /// released: its owner, not the view, closes it.
+  void release(std::size_t i) const noexcept {
+    if (shards_ != nullptr) shards_->release_shard(i);
   }
 
   // --- global id rebasing (see header comment) -----------------------------
@@ -144,6 +162,40 @@ class StoreParts {
   // Exactly one is set.
   const EventStore* file_ = nullptr;
   const ShardStore* shards_ = nullptr;
+};
+
+/// What a path holds, judged by its magic bytes alone.
+enum class StoreShape : std::uint8_t {
+  kNotAStore,       ///< missing, unreadable, or neither magic
+  kFile,            ///< a file beginning with STORCOL1
+  kShardDirectory,  ///< a directory whose MANIFEST begins with STORSHARD1
+};
+[[nodiscard]] StoreShape sniff_store(const std::string& path);
+
+/// The front door to every store: owns whichever store a path names and the
+/// one view over it, so no caller branches on the store's shape. Non-movable,
+/// like both owners: the view and every span it hands out point into it.
+class StoreOwner {
+ public:
+  /// Sniffs `path` and opens it into the matching owner: a STORCOL1 file is
+  /// mapped and fully validated; a shard directory's MANIFEST is checked and
+  /// its parts open lazily (StoreParts::open_all validates them all). On
+  /// failure the typed Error's detail names `path`: kIo for a missing path,
+  /// kBadMagic for one holding neither shape, else the owner's own error.
+  [[nodiscard]] Error open(const std::string& path);
+
+  /// The view over what open() opened; call after it succeeded.
+  StoreParts parts() const noexcept {
+    return directory_ ? StoreParts(shards_) : StoreParts(file_);
+  }
+  /// The shard directory, or nullptr for a single file (for tools that
+  /// print the MANIFEST itself, like `store stats`).
+  const ShardStore* directory() const noexcept { return directory_ ? &shards_ : nullptr; }
+
+ private:
+  EventStore file_;
+  ShardStore shards_;
+  bool directory_ = false;
 };
 
 }  // namespace storsubsim::store

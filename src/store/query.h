@@ -66,9 +66,9 @@ struct QueryResult {
 
 /// Fixed-size selection-bitmap scratch, reused across every block of a scan.
 /// open() rejects blocks larger than kBlockRows, so kWords words always
-/// suffice — no per-block allocation on the hot path. The arena shape a
-/// long-lived request handler wants: allocate once, run any number of
-/// queries through it (storsimd keeps a pool of these; docs/SERVE.md).
+/// suffice — no per-block allocation on the hot path. Fixed-size and left
+/// uninitialized, so a caller declares one on its stack per query
+/// (run_query and storsimd both do; docs/SERVE.md).
 struct ScanScratch {
   /// bitmap_words(kBlockRows); spelled out so this header needs no decode.h.
   static constexpr std::size_t kWords = (kBlockRows + 63) / 64;
@@ -96,8 +96,8 @@ struct QueryAccumulators {
 /// One query's incremental execution: scan any number of stores (shards),
 /// then finish against the merged exposure table. run_query is a thin
 /// wrapper around this; storsimd drives it directly so the LRU
-/// can pin/scan/release one shard at a time. The scratch is borrowed, not
-/// owned — the caller controls its lifetime (and reuse across requests).
+/// can pin/scan/release one part at a time. The scratch is borrowed, not
+/// owned — the caller controls its lifetime.
 class QueryRun {
  public:
   /// `scratch` must outlive the run.

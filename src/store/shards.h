@@ -132,11 +132,7 @@ class ShardStore {
   /// Shards currently held open (mmap + validated).
   std::size_t open_count() const noexcept;
 
-  // --- explicit open/close hooks (the storsimd shard LRU drives these) -----
-  /// ensure_open under its cache-management name: maps + fully validates
-  /// shard i, or returns the typed error naming the shard file.
-  [[nodiscard]] Error open_shard(std::size_t i) const { return ensure_open(i); }
-  /// Drops shard i's mapping (a later open_shard revalidates and remaps).
+  /// Drops shard i's mapping (a later ensure_open revalidates and remaps).
   /// The caller must guarantee no live views into the shard — serve::ShardLru
   /// only releases shards whose pin count is zero.
   void release_shard(std::size_t i) const noexcept { shards_[i].reset(); }

@@ -286,7 +286,8 @@ TEST_F(ServeSuite, ShardedDaemonMatchesTheMonolithicAnswers) {
   // the monolithic renderers are the reference for both backends.
   DaemonHarness harness;
   ASSERT_TRUE(harness.start(shard_dir(), "serve_shard_identity.sock").ok());
-  ASSERT_TRUE(harness.daemon().sharded());
+  ASSERT_NE(harness.daemon().lru(), nullptr);
+  ASSERT_EQ(harness.daemon().lru()->parts().part_count(), 3u);
   run_identity_clients(harness.socket_path(), expected_matrix(mono()),
                        /*clients=*/8, /*rounds=*/2);
 }
@@ -482,6 +483,16 @@ TEST_F(ServeSuite, MaxOpenShardsBoundsTheLruAndStillAnswersRight) {
   // ceiling), but the steady state after a query must be back under it.
   EXPECT_LE(harness.daemon().lru()->open_count(), 2u);
   EXPECT_GT(harness.daemon().lru()->evictions(), 0u);
+  harness.stop();
+
+  // A single file is one part: always open, never evicted, even at a cap of
+  // one.
+  DaemonHarness single;
+  ASSERT_TRUE(single.start(mono_path(), "serve_lru_single.sock", /*max_open_shards=*/1).ok());
+  ASSERT_NE(single.daemon().lru(), nullptr);
+  run_identity_clients(single.socket_path(), matrix, /*clients=*/4, /*rounds=*/2);
+  EXPECT_EQ(single.daemon().lru()->open_count(), 1u);
+  EXPECT_EQ(single.daemon().lru()->evictions(), 0u);
 }
 
 TEST_F(ServeSuite, UnboundedDaemonKeepsEveryShardMapped) {

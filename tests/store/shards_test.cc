@@ -309,6 +309,44 @@ TEST_F(ShardEquivalence, SourceReportsTheShardBackend) {
   }
 }
 
+// --- store::StoreOwner: the one place the store shape is sniffed ----------
+
+// Every front end opens its input here: a shard directory is N parts, a
+// STORCOL1 file is one, and anything else is a typed Error naming the path.
+TEST_F(ShardEquivalence, StoreOwnerOpensEachShapeOrNamesThePath) {
+  const std::string text = temp_path("owner_notes.txt");
+  write_file(text, "not a store, just some notes\n");
+  const std::string missing = temp_path("owner_missing.store");
+  const struct {
+    std::string path;
+    store::StoreShape shape;
+    store::ErrorCode code;
+    std::size_t parts;
+  } cases[] = {
+      {*dir_, store::StoreShape::kShardDirectory, store::ErrorCode::kOk, 3},
+      {*mono_path_, store::StoreShape::kFile, store::ErrorCode::kOk, 1},
+      {text, store::StoreShape::kNotAStore, store::ErrorCode::kBadMagic, 0},
+      {missing, store::StoreShape::kNotAStore, store::ErrorCode::kIo, 0},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(store::sniff_store(c.path), c.shape) << c.path;
+    store::StoreOwner owner;
+    const store::Error err = owner.open(c.path);
+    EXPECT_EQ(err.code, c.code) << c.path << ": " << err.describe();
+    if (!err.ok()) {
+      EXPECT_NE(err.describe().find(c.path), std::string::npos) << err.describe();
+      continue;
+    }
+    const store::StoreParts parts = owner.parts();
+    EXPECT_EQ(parts.part_count(), c.parts) << c.path;
+    EXPECT_EQ(owner.directory() != nullptr,
+              c.shape == store::StoreShape::kShardDirectory);
+    EXPECT_TRUE(parts.open_all().ok()) << c.path;
+    EXPECT_EQ(parts.event_count(), mono().event_count()) << c.path;
+  }
+  std::remove(text.c_str());
+}
+
 // --- store::StoreParts: the one place id rebasing lives ---------------------
 
 namespace {
@@ -386,7 +424,7 @@ TEST_F(PartsView, GlobalDiskOrderMatchesTheMonolithicInventory) {
   EXPECT_EQ(parts.disk_count(), mono_inv.disks.size());
 }
 
-// The storsimd LRU drives the cache through open_shard/release_shard; the
+// The storsimd LRU drives the cache through ensure_open/release_shard; the
 // round trip must be lossless — a released shard reopens to the same view
 // and the open_count bookkeeping tracks exactly the mapped set.
 TEST_F(ShardEquivalence, OpenShardReleaseShardRoundTrip) {
@@ -394,7 +432,7 @@ TEST_F(ShardEquivalence, OpenShardReleaseShardRoundTrip) {
   ASSERT_TRUE(local.open(*dir_).ok());
   EXPECT_EQ(local.open_count(), 0u);  // open() maps nothing
 
-  ASSERT_TRUE(local.open_shard(1).ok());
+  ASSERT_TRUE(local.ensure_open(1).ok());
   EXPECT_TRUE(local.is_open(1));
   EXPECT_FALSE(local.is_open(0));
   EXPECT_EQ(local.open_count(), 1u);
@@ -406,9 +444,9 @@ TEST_F(ShardEquivalence, OpenShardReleaseShardRoundTrip) {
   local.release_shard(1);  // releasing an already-closed shard is a no-op
   EXPECT_EQ(local.open_count(), 0u);
 
-  ASSERT_TRUE(local.open_shard(1).ok());  // revalidates and remaps
+  ASSERT_TRUE(local.ensure_open(1).ok());  // revalidates and remaps
   EXPECT_EQ(local.shard(1).event_count(), events);
-  ASSERT_TRUE(local.open_shard(1).ok());  // idempotent while mapped
+  ASSERT_TRUE(local.ensure_open(1).ok());  // idempotent while mapped
   EXPECT_EQ(local.open_count(), 1u);
 }
 
@@ -518,6 +556,17 @@ TEST_F(ShardCorruption, MissingManifestIsTyped) {
   const auto err = shards.open(*dir_);
   EXPECT_FALSE(err.ok());
   EXPECT_NE(err.code, store::ErrorCode::kOk);
+}
+
+// A MANIFEST that passes the sniff but fails to parse still names the
+// directory, which the parse error alone does not.
+TEST_F(ShardCorruption, StoreOwnerNamesTheDirectoryOnAManifestError) {
+  write_file(*manifest_path_, std::string(store::kManifestMagic));
+  ASSERT_EQ(store::sniff_store(*dir_), store::StoreShape::kShardDirectory);
+  store::StoreOwner owner;
+  const auto err = owner.open(*dir_);
+  EXPECT_FALSE(err.ok());
+  EXPECT_NE(err.describe().find(*dir_), std::string::npos) << err.describe();
 }
 
 TEST_F(ShardCorruption, TruncatedManifestIsTyped) {

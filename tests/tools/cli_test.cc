@@ -2,6 +2,7 @@
 // snapshot files, analyze and predict consume them. Exercises the file-based
 // path (everything else in the suite uses in-memory streams).
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -432,4 +433,32 @@ TEST(CliUsage, UnknownClassRejected) {
                     " --report afr --class warp-core")
                 .first,
             0);
+}
+
+// Numeric flags are parsed, not trusted: a value that is not a number, or a
+// count that is negative, is a usage error naming the flag and the value —
+// never an uncaught exception or an out-of-range cast.
+TEST(CliUsage, BadNumericFlagsExitTwoWithAMessage) {
+  const std::string logs = temp_path("cli_badnum.log");
+  const std::string snap = temp_path("cli_badnum.snap");
+  const std::string shards = temp_path("cli_badnum.shards");
+  const struct {
+    std::string args;
+    const char* message;
+  } cases[] = {
+      {"analyze --threads abc --logs " + logs + " --snapshot " + snap + " --report afr",
+       "invalid --threads value 'abc'"},
+      {"simulate --scale 0.001 --logs " + logs + " --snapshot " + snap + " --threads -1",
+       "invalid --threads value '-1'"},
+      {"store build --out " + shards + " --shards -2", "invalid --shards value '-2'"},
+  };
+  for (const auto& c : cases) {
+    const auto [status, err] = run_cli_stderr(c.args);
+    // The shell reports a signal-killed CLI as 128 + signal, so exit code 2
+    // also proves no signal ended it.
+    ASSERT_TRUE(WIFEXITED(status)) << c.args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << c.args << "\n" << err;
+    EXPECT_NE(err.find(c.message), std::string::npos) << c.args << "\n" << err;
+  }
+  EXPECT_NE(::access(logs.c_str(), F_OK), 0) << "simulate ran despite a bad --threads";
 }

@@ -32,7 +32,8 @@
 #      byte-identical full-scale analyze reports to the default SIMD build —
 #      the wide kernels are an optimisation, never a semantic change
 #   9. storsimd gate (docs/SERVE.md): a real `storsubsim serve` daemon over
-#      the step-5 store answers parallel `storsubsim client` calls byte-
+#      the step-5 store, and another over the step-7 shard directory with
+#      --max-open-shards 2, answer parallel `storsubsim client` calls byte-
 #      identically to the offline path, the serve_bench QPS ladder clears a
 #      conservative floor with zero mismatches, and SIGTERM drains cleanly
 #      (exit 0, socket unlinked)
@@ -205,46 +206,54 @@ echo "== [9/12] storsimd: daemon byte-identity + QPS floor + drain =="
 # A real `storsubsim serve` daemon over the full-scale store from step 5,
 # driven by parallel `storsubsim client` invocations: every endpoint must be
 # byte-identical to the offline path, and SIGTERM must drain cleanly
-# (exit 0, socket unlinked). See docs/SERVE.md.
+# (exit 0, socket unlinked). `serve_gate INPUT TAG [serve flags...]` runs
+# that gate over INPUT; the second run serves step 7's shard directory under
+# a two-shard LRU budget, so both store shapes are gated. See docs/SERVE.md.
 SERVE_SOCK=build/CHECK_serve.sock
-rm -f "$SERVE_SOCK"
-./build/tools/storsubsim serve --input build/BENCH_checks.store \
-  --socket "$SERVE_SOCK" > /dev/null 2>&1 &
-SERVE_PID=$!
-tries=0
-while [ ! -S "$SERVE_SOCK" ] && [ "$tries" -lt 500 ]; do
-  sleep 0.01
-  tries=$((tries + 1))
-done
-[ -S "$SERVE_SOCK" ] || { echo "FAIL: daemon never bound $SERVE_SOCK"; exit 1; }
-client_pids=""
-for pair in afr:afr-total afr_by_class:afr tbf:burstiness \
-            correlation:correlation lifetime:lifetime; do
-  endpoint=${pair%%:*}
-  report=${pair##*:}
-  ./build/tools/storsubsim analyze --store build/BENCH_checks.store \
-    --report "$report" > "build/CHECK_serve_offline_$endpoint.txt"
-  ./build/tools/storsubsim client --socket "$SERVE_SOCK" \
-    --endpoint "$endpoint" > "build/CHECK_serve_daemon_$endpoint.txt" &
+serve_gate() {
+  input=$1 tag=$2
+  shift 2
+  rm -f "$SERVE_SOCK"
+  ./build/tools/storsubsim serve --input "$input" \
+    --socket "$SERVE_SOCK" "$@" > /dev/null 2>&1 &
+  SERVE_PID=$!
+  tries=0
+  while [ ! -S "$SERVE_SOCK" ] && [ "$tries" -lt 500 ]; do
+    sleep 0.01
+    tries=$((tries + 1))
+  done
+  [ -S "$SERVE_SOCK" ] || { echo "FAIL: daemon never bound $SERVE_SOCK"; exit 1; }
+  client_pids=""
+  for pair in afr:afr-total afr_by_class:afr tbf:burstiness \
+              correlation:correlation lifetime:lifetime; do
+    endpoint=${pair%%:*}
+    report=${pair##*:}
+    ./build/tools/storsubsim analyze --store build/BENCH_checks.store \
+      --report "$report" > "build/CHECK_serve_offline_$endpoint.txt"
+    ./build/tools/storsubsim client --socket "$SERVE_SOCK" \
+      --endpoint "$endpoint" > "build/CHECK_serve_${tag}_$endpoint.txt" &
+    client_pids="$client_pids $!"
+  done
+  ./build/tools/storsubsim store query --store build/BENCH_checks.store \
+    --group-by class --csv > build/CHECK_serve_offline_query.txt
+  ./build/tools/storsubsim client --socket "$SERVE_SOCK" --endpoint query \
+    --group-by class --csv > "build/CHECK_serve_${tag}_query.txt" &
   client_pids="$client_pids $!"
-done
-./build/tools/storsubsim store query --store build/BENCH_checks.store \
-  --group-by class --csv > build/CHECK_serve_offline_query.txt
-./build/tools/storsubsim client --socket "$SERVE_SOCK" --endpoint query \
-  --group-by class --csv > build/CHECK_serve_daemon_query.txt &
-client_pids="$client_pids $!"
-for pid in $client_pids; do
-  wait "$pid"
-done
-for endpoint in afr afr_by_class tbf correlation lifetime query; do
-  cmp "build/CHECK_serve_offline_$endpoint.txt" \
-    "build/CHECK_serve_daemon_$endpoint.txt"
-done
-echo "daemon answers byte-identical to offline (5 endpoints + grouped query)"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-[ ! -e "$SERVE_SOCK" ] || { echo "FAIL: $SERVE_SOCK leaked after drain"; exit 1; }
-echo "SIGTERM drain clean (exit 0, socket unlinked)"
+  for pid in $client_pids; do
+    wait "$pid"
+  done
+  for endpoint in afr afr_by_class tbf correlation lifetime query; do
+    cmp "build/CHECK_serve_offline_$endpoint.txt" \
+      "build/CHECK_serve_${tag}_$endpoint.txt"
+  done
+  echo "daemon on $input byte-identical to offline (5 endpoints + grouped query)"
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID"
+  [ ! -e "$SERVE_SOCK" ] || { echo "FAIL: $SERVE_SOCK leaked after drain"; exit 1; }
+  echo "SIGTERM drain clean (exit 0, socket unlinked)"
+}
+serve_gate build/BENCH_checks.store daemon
+serve_gate build/BENCH_checks.shards shards --max-open-shards 2
 # QPS floor: the in-process ladder over the same store. The committed
 # BENCH_serve.json holds this machine-independent reference; the floor here
 # is deliberately conservative so slow CI boxes pass while a daemon that

@@ -21,12 +21,12 @@
 // `analyze`, `inspect` and `predict` know nothing about the simulator's internals —
 // they parse whatever log/snapshot files you give them, so logs produced by
 // other tools (or hand-edited scenarios) work as well. `analyze --input PATH`
-// sniffs the path: a columnar store (STORCOL1 magic) is mapped and the reports
-// come straight off the column spans, a shard directory (STORSHARD1 MANIFEST,
-// produced by `store build --shards`) is analyzed shard by shard with
-// byte-identical results (see docs/STORE.md); anything else is treated as a
-// text log and needs `--snapshot`. The older `--logs`/`--store` spellings
-// remain as aliases and produce byte-identical output.
+// sniffs the path (store::sniff_store): a columnar store (STORCOL1 magic) is
+// mapped and the reports come straight off the column spans, a shard
+// directory (STORSHARD1 MANIFEST, produced by `store build --shards`) is
+// analyzed shard by shard with byte-identical results (see docs/STORE.md);
+// anything else is treated as a text log and needs `--snapshot`. The older
+// `--logs`/`--store` spellings remain as aliases with byte-identical output.
 //
 // Observability (docs/OBSERVABILITY.md): every command accepts
 //   --metrics          print the metric snapshot to stderr on success
@@ -35,8 +35,8 @@
 // None of these change a single stdout byte — analysis output is identical
 // with observability on or off, at any --threads value.
 #include <algorithm>
-#include <array>
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
@@ -44,6 +44,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <unistd.h>
@@ -72,16 +74,31 @@
 #include "sim/log_bridge.h"
 #include "sim/precursors.h"
 #include "sim/scenario.h"
-#include "store/format.h"
 #include "store/parts.h"
 #include "store/query.h"
-#include "store/shards.h"
 #include "util/parallel.h"
 #include "util/rss.h"
 
 using namespace storsubsim;
 
 namespace {
+
+/// The whole of `text` as a number (std::from_chars: no locale, no
+/// exceptions); nullopt when any of it is not.
+std::optional<double> parse_number(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The flags the CLI casts to an unsigned integer, and the real-valued ones.
+constexpr std::string_view kCountFlags[] = {
+    "threads", "shards", "max-rss-mb", "max-open-shards", "max-replicates",
+    "min-replicates", "batch", "threshold", "seed"};
+constexpr std::string_view kRealFlags[] = {"scale", "confidence", "ci-rel", "window-days",
+                                           "horizon-days", "from-days", "to-days"};
 
 struct Args {
   std::string command;
@@ -99,9 +116,10 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? fallback : it->second;
   }
+  /// Call after check_numeric_flags() accepted the invocation.
   double get_double(const std::string& name, double fallback) const {
     const auto it = options.find(name);
-    return it == options.end() ? fallback : std::stod(it->second);
+    return it == options.end() ? fallback : parse_number(it->second).value_or(fallback);
   }
 };
 
@@ -151,33 +169,18 @@ observability (any command): [--metrics] [--trace FILE] [--manifest FILE]
   return 2;
 }
 
-/// True when `path` starts with the columnar store magic ("STORCOL1"). Used
-/// by `analyze --input` to pick the store or log/snapshot path automatically.
-bool is_store_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, store::kMagic.size()> head{};
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         std::equal(head.begin(), head.end(), store::kMagic.begin());
-}
-
-/// True when `path` is a shard directory (contains a MANIFEST starting with
-/// the STORSHARD1 magic). Analyses over it are byte-identical to the
-/// equivalent single-file store.
-bool is_shard_dir(const std::string& path) {
-  std::ifstream in(path + "/" + std::string(store::kManifestFileName), std::ios::binary);
-  if (!in) return false;
-  std::string head(store::kManifestMagic.size(), '\0');
-  in.read(head.data(), static_cast<std::streamsize>(head.size()));
-  return in.gcount() == static_cast<std::streamsize>(head.size()) &&
-         head == store::kManifestMagic;
-}
-
-bool open_shards(const std::string& dir, store::ShardStore& out) {
-  const auto err = out.open(dir);
-  if (!err.ok()) {
-    std::cerr << "cannot open shard directory " << dir << ": " << err.describe() << "\n";
+/// Rejects a numeric flag that does not parse, or a count that is negative,
+/// not finite or beyond its integer (--threads is 32-bit, the rest 64-bit),
+/// naming the flag and the value. Runs before any command reads a flag.
+bool check_numeric_flags(const Args& args) {
+  for (const auto& [name, text] : args.options) {
+    const bool count = std::ranges::find(kCountFlags, name) != std::end(kCountFlags);
+    if (!count && std::ranges::find(kRealFlags, name) == std::end(kRealFlags)) continue;
+    const auto value = parse_number(text);
+    const double end = name == "threads" ? 0x1p32 : 0x1p64;
+    if (value && (!count || (*value >= 0 && *value < end))) continue;
+    std::cerr << "invalid --" << name << " value '" << text << "'"
+              << (count ? ": want a non-negative count" : ": want a number") << "\n";
     return false;
   }
   return true;
@@ -240,36 +243,14 @@ bool wants_filter(const Args& args) {
   return args.has_flag("exclude-h") || !args.get("class").empty();
 }
 
-bool open_store(const std::string& path, store::EventStore& out) {
-  const auto err = out.open(path);
-  if (!err.ok()) {
-    std::cerr << "cannot open store " << path << ": " << err.describe() << "\n";
-    return false;
-  }
-  return true;
-}
-
-/// Opens the store at `path` — a shard directory or a single file — into
-/// the matching owner and returns the view over it; nullopt, with the error
-/// printed, when it does not open.
-std::optional<store::StoreParts> open_parts(const std::string& path,
-                                            store::EventStore& file,
-                                            store::ShardStore& shards) {
-  if (is_shard_dir(path)) {
-    if (!open_shards(path, shards)) return std::nullopt;
-    return store::StoreParts(shards);
-  }
-  if (!open_store(path, file)) return std::nullopt;
-  return store::StoreParts(file);
-}
-
-std::optional<core::Dataset> load_dataset(const Args& args,
-                                          std::vector<log::LogRecord>* records_out,
-                                          std::string log_path = "") {
-  if (log_path.empty()) log_path = args.get("logs");
-  const std::string snap_path = args.get("snapshot");
-  if (log_path.empty() || snap_path.empty()) return std::nullopt;
-
+/// The one log + snapshot loader: reads, parses and classifies both files
+/// into a dataset plus the pipeline counters a store header records (no
+/// simulator ran, so its counters stay zero). Leaves the parsed records in
+/// `*records_out` when it is set and prints the parse summary when
+/// `echo_parse`; nullopt, with the error printed, when a file does not read.
+std::optional<core::SimulationDataset> load_logs(
+    const std::string& log_path, const std::string& snap_path, bool echo_parse,
+    std::vector<log::LogRecord>* records_out = nullptr) {
   std::ifstream logs(log_path);
   if (!logs) {
     std::cerr << "cannot read " << log_path << "\n";
@@ -277,8 +258,10 @@ std::optional<core::Dataset> load_dataset(const Args& args,
   }
   std::vector<log::LogRecord> records;
   const auto parse_stats = log::parse_stream(logs, records);
-  std::cerr << "parsed " << parse_stats.lines_parsed << "/" << parse_stats.lines_total
-            << " log lines (" << parse_stats.lines_malformed << " malformed)\n";
+  if (echo_parse) {
+    std::cerr << "parsed " << parse_stats.lines_parsed << "/" << parse_stats.lines_total
+              << " log lines (" << parse_stats.lines_malformed << " malformed)\n";
+  }
 
   std::ifstream snap(snap_path);
   if (!snap) {
@@ -291,12 +274,31 @@ std::optional<core::Dataset> load_dataset(const Args& args,
     return std::nullopt;
   }
 
-  auto failures = log::classify(records);
+  log::ClassifierStats classifier;
+  auto failures = log::classify(records, {}, &classifier);
+  core::PipelineStats pipeline;
+  pipeline.log_lines_written = parse_stats.lines_total;
+  pipeline.log_lines_parsed = parse_stats.lines_parsed;
+  pipeline.raid_records = classifier.raid_records;
+  pipeline.failures_classified = failures.size();
+  pipeline.duplicates_dropped = classifier.duplicates_dropped;
+  pipeline.missing_disk_dropped = classifier.missing_disk_dropped;
   if (records_out != nullptr) *records_out = std::move(records);
-  const core::Dataset dataset(
-      std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
-      std::move(failures));
-  return apply_cli_filter(dataset, args);
+  return core::SimulationDataset{
+      core::Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
+                    std::move(failures)),
+      sim::SimCounters{}, pipeline};
+}
+
+std::optional<core::Dataset> load_dataset(const Args& args,
+                                          std::vector<log::LogRecord>* records_out,
+                                          std::string log_path = "") {
+  if (log_path.empty()) log_path = args.get("logs");
+  const std::string snap_path = args.get("snapshot");
+  if (log_path.empty() || snap_path.empty()) return std::nullopt;
+  const auto loaded = load_logs(log_path, snap_path, /*echo_parse=*/true, records_out);
+  if (!loaded) return std::nullopt;
+  return apply_cli_filter(loaded->dataset, args);
 }
 
 void print(const core::TextTable& table, const Args& args) {
@@ -333,7 +335,7 @@ int cmd_analyze(const Args& args) {
       std::cerr << "--input replaces --logs/--store; pass only one spelling\n";
       return usage();
     }
-    if (is_shard_dir(input) || is_store_file(input)) {
+    if (store::sniff_store(input) != store::StoreShape::kNotAStore) {
       store_path = input;
     } else {
       log_path = input;
@@ -342,19 +344,18 @@ int cmd_analyze(const Args& args) {
   // A shard directory and a single file both open as a store::StoreParts
   // view; analyses over a directory are byte-identical to the equivalent
   // single-file store.
-  store::EventStore event_store;
-  store::ShardStore shard_store;
+  store::StoreOwner owner;
   std::optional<store::StoreParts> parts;
   if (!store_path.empty()) {
-    parts = open_parts(store_path, event_store, shard_store);
-    if (!parts) return 1;
     // analyze touches every part; open them all now so a corrupt shard
     // surfaces as a typed error instead of a mid-analysis exception.
-    if (const auto err = parts->open_all(); !err.ok()) {
-      std::cerr << "cannot open shard directory " << store_path << ": " << err.describe()
-                << "\n";
+    store::Error err = owner.open(store_path);
+    if (err.ok()) err = owner.parts().open_all();
+    if (!err.ok()) {
+      std::cerr << "cannot open store: " << err.describe() << "\n";
       return 1;
     }
+    parts = owner.parts();
   }
   const std::string report = args.get("report", "afr");
 
@@ -588,36 +589,8 @@ int cmd_store_build(const Args& args) {
 
   std::optional<core::SimulationDataset> run;
   if (from_logs) {
-    std::ifstream logs(log_path);
-    if (!logs) {
-      std::cerr << "cannot read " << log_path << "\n";
-      return 1;
-    }
-    std::vector<log::LogRecord> records;
-    const auto parse_stats = log::parse_stream(logs, records);
-    std::ifstream snap(snap_path);
-    if (!snap) {
-      std::cerr << "cannot read " << snap_path << "\n";
-      return 1;
-    }
-    auto snapshot = log::parse_snapshot(snap);
-    if (!snapshot.ok()) {
-      std::cerr << "snapshot error: " << snapshot.error << "\n";
-      return 1;
-    }
-    log::ClassifierStats cstats;
-    auto failures = log::classify(records, {}, &cstats);
-    core::PipelineStats pipeline;
-    pipeline.log_lines_written = parse_stats.lines_total;
-    pipeline.log_lines_parsed = parse_stats.lines_parsed;
-    pipeline.raid_records = cstats.raid_records;
-    pipeline.failures_classified = failures.size();
-    pipeline.duplicates_dropped = cstats.duplicates_dropped;
-    pipeline.missing_disk_dropped = cstats.missing_disk_dropped;
-    run.emplace(core::SimulationDataset{
-        core::Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
-                      std::move(failures)),
-        sim::SimCounters{}, pipeline});
+    run = load_logs(log_path, snap_path, /*echo_parse=*/false);
+    if (!run) return 1;
   } else {
     std::cerr << "simulating the standard fleet at scale " << scale << " (seed " << seed
               << ")...\n";
@@ -655,18 +628,9 @@ int cmd_store_build(const Args& args) {
   return 0;
 }
 
-int cmd_store_query(const Args& args) {
-  const std::string path = args.get("store");
-  if (path.empty()) return usage();
-  store::EventStore file;
-  store::ShardStore shards;
-  const auto parts = open_parts(path, file, shards);
-  if (!parts) return 1;
-
-  // Flags travel as raw strings into the one shared validator
-  // (core::AnalysisRequest::from_params) — the daemon runs the identical
-  // code on its JSON params, so a bad value gets the same message here and
-  // over the socket.
+/// The query flags as raw request params, shared by `store query` and
+/// `client`.
+core::RequestParams query_params(const Args& args) {
   core::RequestParams params;
   params.type = args.get("type");
   params.cls = args.get("class");
@@ -678,9 +642,25 @@ int cmd_store_query(const Args& args) {
   if (args.options.contains("to-days")) {
     params.to_days = args.get_double("to-days", 0.0);
   }
+  return params;
+}
+
+int cmd_store_query(const Args& args) {
+  const std::string path = args.get("store");
+  if (path.empty()) return usage();
+  store::StoreOwner owner;
+  if (const auto err = owner.open(path); !err.ok()) {
+    std::cerr << "cannot open store: " << err.describe() << "\n";
+    return 1;
+  }
+
+  // Flags travel as raw strings into the one shared validator
+  // (core::AnalysisRequest::from_params) — the daemon runs the identical
+  // code on its JSON params, so a bad value gets the same message here and
+  // over the socket.
   core::AnalysisRequest request;
   if (const auto err = core::AnalysisRequest::from_params(
-          core::StatisticId::kQuery, params, args.has_flag("csv"), &request);
+          core::StatisticId::kQuery, query_params(args), args.has_flag("csv"), &request);
       !err.ok()) {
     std::cerr << err.message << "\n";
     return 1;
@@ -688,7 +668,7 @@ int cmd_store_query(const Args& args) {
   const store::Query& query = request.query;
 
   store::QueryResult result;
-  if (const auto err = store::run_query(*parts, query, &result); !err.ok()) {
+  if (const auto err = store::run_query(owner.parts(), query, &result); !err.ok()) {
     std::cerr << "query over " << path << " failed: " << err.describe() << "\n";
     return 1;
   }
@@ -701,9 +681,7 @@ int cmd_store_query(const Args& args) {
 
 /// `store stats` over a shard directory: MANIFEST summary plus one row per
 /// shard, without fully opening any shard.
-int cmd_store_stats_sharded(const Args& args, const std::string& path) {
-  store::ShardStore shards;
-  if (!open_shards(path, shards)) return 1;
+int cmd_store_stats_sharded(const Args& args, const store::ShardStore& shards) {
   const auto& m = shards.manifest();
 
   core::TextTable header({"field", "value"});
@@ -743,9 +721,15 @@ int cmd_store_stats_sharded(const Args& args, const std::string& path) {
 int cmd_store_stats(const Args& args) {
   const std::string path = args.get("store");
   if (path.empty()) return usage();
-  if (is_shard_dir(path)) return cmd_store_stats_sharded(args, path);
-  store::EventStore es;
-  if (!open_store(path, es)) return 1;
+  store::StoreOwner owner;
+  if (const auto err = owner.open(path); !err.ok()) {
+    std::cerr << "cannot open store: " << err.describe() << "\n";
+    return 1;
+  }
+  if (const store::ShardStore* shards = owner.directory()) {
+    return cmd_store_stats_sharded(args, *shards);
+  }
+  const store::EventStore& es = owner.parts().part(0);
   const auto& h = es.header();
   const auto& m = es.meta();
   const auto& exposure = es.exposure();
@@ -890,9 +874,8 @@ int cmd_serve(const Args& args) {
   g_serve_drain_fd.store(daemon.drain_signal_fd());
   std::signal(SIGINT, serve_signal_handler);
   std::signal(SIGTERM, serve_signal_handler);
-  std::cerr << "storsimd serving " << options.input
-            << (daemon.sharded() ? " (sharded)" : "") << " on "
-            << options.socket_path << "\n";
+  std::cerr << "storsimd serving " << options.input << " on " << options.socket_path
+            << "\n";
   const auto err = daemon.serve();
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
@@ -911,16 +894,7 @@ int cmd_client(const Args& args) {
   request.endpoint = args.get("endpoint");
   if (socket_path.empty() || request.endpoint.empty()) return usage();
   request.csv = args.has_flag("csv");
-  request.params.type = args.get("type");
-  request.params.cls = args.get("class");
-  request.params.family = args.get("family");
-  request.params.group_by = args.get("group-by");
-  if (args.options.contains("from-days")) {
-    request.params.from_days = args.get_double("from-days", 0.0);
-  }
-  if (args.options.contains("to-days")) {
-    request.params.to_days = args.get_double("to-days", 0.0);
-  }
+  request.params = query_params(args);
 
   serve::Client client;
   if (const auto err = client.connect(socket_path); !err.ok()) {
@@ -958,6 +932,7 @@ int dispatch(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  if (!check_numeric_flags(args)) return usage();
   // 0 = auto (STORSIM_THREADS env var, else hardware concurrency). Results
   // are identical for any thread count; see docs/performance.md.
   util::set_thread_count(
