@@ -21,20 +21,36 @@
 //   --csv                  print tables as CSV instead of aligned text
 //   --metrics              print the obs metric snapshot to stderr at exit
 //   --trace=<path>         write a Chrome trace_event JSON of recorded spans
-//   --manifest=<path>      write a run-manifest JSON (provenance + metrics);
-//                          harnesses that take --out=X.json default this to
-//                          X.manifest.json
+//   --manifest=<path>      write a run-manifest JSON (provenance + numbers +
+//                          metrics); the perf harnesses always write one,
+//                          defaulting to BENCH_<name>.json
+//   --repeat=<int>         min-of-N runs per timed stage (perf harnesses)
+//
+// A malformed numeric value (not a number, negative, non-finite, or out of
+// range) prints "invalid --FLAG value 'V'" and exits 2.
+//
+// The six perf harnesses (parallel_baseline, pipeline_throughput,
+// store_bench, decode_bench, replicate_bench, serve_bench) share one shape:
+// parse_perf_options(), obs::now_seconds() timing through min_of_n(), and
+// one output file — the obs::RunManifest finish_run() writes, whose flat
+// `numbers` carry every measurement and gate result.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/afr.h"
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "obs/span.h"
 
 namespace storsubsim::bench {
 
@@ -48,6 +64,7 @@ struct Options {
   bool metrics = false;   ///< print the metric snapshot to stderr at exit
   std::string trace;      ///< non-empty: write the Chrome trace here
   std::string manifest;   ///< non-empty: write the run manifest here
+  int repeat = 3;         ///< min-of-N runs per timed stage (>= 1; perf harnesses)
 };
 
 /// Parses and strips our flags from argv (google-benchmark parses the rest).
@@ -55,12 +72,69 @@ struct Options {
 /// during the report are captured.
 Options parse_options(int& argc, char** argv);
 
+/// A harness-local `--name=value` flag: returns false for a name the harness
+/// does not take.
+using LocalFlag = std::function<bool(std::string_view name, std::string_view value)>;
+
+/// The perf harnesses' parse: parse_options() with the manifest defaulting to
+/// `default_manifest`, then every leftover `--name=value` goes to `local`;
+/// a flag outside Options and the harness-local set prints "unknown flag"
+/// and exits 2. An Options flag the harness does not use is accepted and
+/// ignored.
+Options parse_perf_options(int& argc, char** argv, std::string default_manifest,
+                           const LocalFlag& local = {});
+
+/// Numeric flag values: the whole of `text` must parse (std::from_chars) to a
+/// non-negative integer <= max / a finite non-negative real, or the process
+/// prints "invalid --<flag> value '<text>'" and exits 2.
+std::uint64_t parse_count(std::string_view flag, std::string_view text,
+                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+double parse_real(std::string_view flag, std::string_view text);
+
+/// The fastest of `repeat` (at least one) timed calls fn(run): its wall
+/// seconds and which run it was, so callers can keep that run's side results.
+/// Whatever fn returns (the buffer or dataset the run built) is destroyed
+/// after the clock stops, so freeing it is not part of the measurement.
+struct MinOfN {
+  double seconds = 0.0;
+  int run = 0;
+};
+template <typename Fn>
+MinOfN min_of_n(int repeat, Fn&& fn) {
+  MinOfN best;
+  for (int run = 0; run < std::max(repeat, 1); ++run) {
+    double seconds = 0.0;
+    const double start = obs::now_seconds();
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&, int>>) {
+      fn(run);
+      seconds = obs::now_seconds() - start;
+    } else {
+      [[maybe_unused]] const auto built = fn(run);
+      seconds = obs::now_seconds() - start;
+    }
+    if (run == 0 || seconds < best.seconds) best = {seconds, run};
+  }
+  return best;
+}
+
+/// A path under the temp directory for a store the harness builds for its
+/// own use; the file (or shard directory) is removed at exit.
+std::string scratch_path(const std::string& name);
+
+/// The store a harness reads: --store when given, else the standard fleet at
+/// (scale, seed) simulated and written to a scratch_path().
+std::string input_store(const Options& options, const std::string& name);
+
 /// Writes the run artifacts the options ask for: the trace JSON, the run
-/// manifest (provenance + named numbers + metric snapshot), and the --metrics
-/// stderr dump. Call once at the end of main; `numbers` carries the harness's
-/// headline measurements (wall times, speedups, ...).
+/// manifest (provenance + named numbers + info strings + metric snapshot),
+/// and the --metrics stderr dump. Call once at the end of main; `numbers`
+/// carries the harness's measurements and gate results (wall times,
+/// speedups, mismatch counts, ...). The manifest's `info.store` is the
+/// --store path only when the run read it through standard_dataset() or
+/// input_store(); a harness that uses --store otherwise passes it in `info`.
 void finish_run(const std::string& tool, const Options& options,
-                const std::vector<std::pair<std::string, double>>& numbers = {});
+                const std::vector<std::pair<std::string, double>>& numbers = {},
+                const std::vector<std::pair<std::string, std::string>>& info = {});
 
 /// Simulates the standard fleet and caches the result keyed on
 /// (scale, seed); the text-log round-trip is included so the report measures

@@ -1,79 +1,43 @@
 // Decode-kernel throughput: how close the store scan path runs to memory
 // bandwidth.
 //
-// Builds a store at the configured scale, then measures the block-decode
+// Reads a store (--store, or the standard fleet at the configured scale built
+// into a scratch file removed at exit), then measures the block-decode
 // kernels (store/decode.h) in GB/s over that store's real columns:
 //
-//   * varint batch decode  — decode_varint_batch vs the per-value
-//                            decode_varint loop the reader used before;
+//   * varint batch decode  — decode_varint_batch over the time columns;
 //   * fused prefix-sum     — delta_zigzag_prefix over the decoded deltas;
 //   * predicate bitmaps    — bitmap_eq_u8 / bitmap_eq4_u8 over the type
 //                            column and bitmap_time_window over the decoded
 //                            times, on the wide path and the scalar path;
-//   * crc32                — slice-by-8 (format.cc) vs the bytewise loop it
-//                            replaced (kept verbatim below), over the whole
-//                            file image — the dominant cold-open cost;
+//   * crc32                — slice-by-8 (format.cc) over the whole file
+//                            image — the dominant cold-open cost;
 //   * cold query           — end-to-end open + AFR breakdown + grouped
 //                            query, wide vs scalar kernel path.
 //
-// Results go to BENCH_decode.json; provenance goes through the shared
-// bench::finish_run manifest like every other harness.
+// The per-value varint and bytewise CRC references the kernels are checked
+// against live in tests/store/decode_test.cc. The one output is the run
+// manifest (default BENCH_decode.json); the kernel path rides in its info.
 //
-//   decode_bench [--scale=<f>] [--seed=<n>] [--repeat=<n>] [--out=<path>]
-//                [--store=<path>] [--manifest=<path>] [--trace=<path>]
-#include <chrono>
+//   decode_bench [--scale=<f>] [--seed=<n>] [--repeat=<n>] [--store=<path>]
+//                [--manifest=<path>] [--trace=<path>]
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common.h"
 #include "core/afr.h"
-#include "core/pipeline.h"
-#include "core/store_bridge.h"
-#include "model/fleet_config.h"
 #include "store/decode.h"
+#include "store/format.h"
 #include "store/query.h"
 #include "store/reader.h"
 
 namespace {
 
 using namespace storsubsim;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// The bytewise CRC32 the store shipped with, kept verbatim as the
-/// before-reference for the slice-by-8 implementation in format.cc.
-struct LegacyCrc32Table {
-  std::uint32_t entries[256] = {};
-  constexpr LegacyCrc32Table() {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1u) : c >> 1u;
-      }
-      entries[i] = c;
-    }
-  }
-};
-
-constexpr LegacyCrc32Table kLegacyCrcTable;
-
-std::uint32_t legacy_crc32(const void* data, std::size_t size) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = 0xffffffffu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kLegacyCrcTable.entries[(c ^ p[i]) & 0xffu] ^ (c >> 8u);
-  }
-  return c ^ 0xffffffffu;
-}
 
 /// Min-of-`repeat` wall time of fn(), with enough inner iterations that one
 /// sample processes at least ~256 MB (small columns would otherwise time in
@@ -84,14 +48,10 @@ double time_kernel(int repeat, std::size_t bytes_per_iter, Fn&& fn) {
   if (bytes_per_iter > 0 && bytes_per_iter < (std::size_t{256} << 20)) {
     iters = ((std::size_t{256} << 20) + bytes_per_iter - 1) / bytes_per_iter;
   }
-  double best = 0.0;
-  for (int r = 0; r < repeat; ++r) {
-    const double t0 = now_seconds();
+  const auto best = bench::min_of_n(repeat, [&](int) {
     for (std::size_t i = 0; i < iters; ++i) fn();
-    const double per_iter = (now_seconds() - t0) / static_cast<double>(iters);
-    if (r == 0 || per_iter < best) best = per_iter;
-  }
-  return best;
+  });
+  return best.seconds / static_cast<double>(iters);
 }
 
 double gbps(std::size_t bytes, double seconds) {
@@ -112,36 +72,9 @@ struct ShardData {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = bench::parse_options(argc, argv);
-  int repeat = 3;
-  std::string out_path = "BENCH_decode.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--repeat=")) {
-      repeat = static_cast<int>(std::stoul(std::string(arg.substr(9))));
-    } else if (arg.starts_with("--out=")) {
-      out_path = std::string(arg.substr(6));
-    }
-  }
-  if (repeat < 1) repeat = 1;
-  if (options.manifest.empty()) {
-    std::string base = out_path;
-    if (base.ends_with(".json")) base.resize(base.size() - 5);
-    options.manifest = base + ".manifest.json";
-  }
-  std::string store_path = options.store;
-
-  // --- build (or reuse) the store -------------------------------------------
-  if (store_path.empty()) {
-    store_path = "BENCH_decode.store";
-    const auto run =
-        core::simulate_and_analyze(model::standard_fleet_config(options.scale, options.seed));
-    if (const auto err = core::write_store(store_path, run, options.seed, options.scale);
-        !err.ok()) {
-      std::cerr << "FAIL: cannot write store: " << err.describe() << "\n";
-      return 1;
-    }
-  }
+  const auto options = bench::parse_perf_options(argc, argv, "BENCH_decode.json");
+  const int repeat = options.repeat;
+  const std::string store_path = bench::input_store(options, "decode");
   store::EventStore es;
   if (const auto err = es.open(store_path); !err.ok()) {
     std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
@@ -194,18 +127,6 @@ int main(int argc, char** argv) {
                                          scratch.data(), data.deltas[s].size());
     }
   });
-  const double varint_legacy_s = time_kernel(repeat, data.varint_total, [&] {
-    for (std::size_t s = 0; s < data.varint_bytes.size(); ++s) {
-      const auto& buf = data.varint_bytes[s];
-      const char* p = buf.data();
-      const char* end = buf.data() + buf.size();
-      for (std::size_t row = 0; row < data.deltas[s].size(); ++row) {
-        std::uint64_t v = 0;
-        p += store::decode_varint(p, end, &v);
-        sink += v;
-      }
-    }
-  });
 
   // --- fused zigzag prefix-sum ----------------------------------------------
   const double prefix_s = time_kernel(repeat, f64_total, [&] {
@@ -250,7 +171,7 @@ int main(int argc, char** argv) {
   measure_filters(&eq_scalar_s, &eq4_scalar_s, &window_scalar_s);
   store::set_simd_enabled(true);
 
-  // --- crc32: slice-by-8 vs the bytewise loop it replaced --------------------
+  // --- crc32: slice-by-8 over the whole file image --------------------------
   std::string image;
   {
     std::ifstream in(store_path, std::ios::binary);
@@ -259,20 +180,11 @@ int main(int argc, char** argv) {
   const double crc_s = time_kernel(repeat, image.size(), [&] {
     sink += store::crc32(image.data(), image.size());
   });
-  const double crc_legacy_s = time_kernel(repeat, image.size(), [&] {
-    sink += legacy_crc32(image.data(), image.size());
-  });
-  if (store::crc32(image.data(), image.size()) != legacy_crc32(image.data(), image.size())) {
-    std::cerr << "FAIL: slice-by-8 CRC disagrees with the bytewise reference\n";
-    return 1;
-  }
 
   // --- end-to-end cold query, wide vs scalar kernel path ---------------------
   auto cold_query = [&](bool simd) {
     store::set_simd_enabled(simd);
-    double best = 0.0;
-    for (int r = 0; r < repeat; ++r) {
-      const double t0 = now_seconds();
+    const auto best = bench::min_of_n(repeat, [&](int) {
       store::EventStore cold;
       if (const auto err = cold.open(store_path); !err.ok()) {
         std::cerr << "FAIL: cold open: " << err.describe() << "\n";
@@ -282,12 +194,10 @@ int main(int argc, char** argv) {
       store::Query query;
       query.group_by = store::Query::GroupBy::kSystemClass;
       const auto result = store::run_query(cold, query);
-      const double elapsed = now_seconds() - t0;
-      if (r == 0 || elapsed < best) best = elapsed;
       sink += result.stats.rows_matched + breakdown.size();
-    }
+    });
     store::set_simd_enabled(true);
-    return best;
+    return best.seconds;
   };
   const double cold_wide_s = cold_query(true);
   const double cold_scalar_s = cold_query(false);
@@ -296,8 +206,11 @@ int main(int argc, char** argv) {
   if (sink == 0xdeadbeefcafef00dull) std::cerr << "(improbable checksum)\n";
 
   const std::vector<std::pair<std::string, double>> numbers = {
+      {"events", static_cast<double>(data.rows_total)},
+      {"time_column_bytes", static_cast<double>(data.varint_total)},
+      {"store_bytes", static_cast<double>(image.size())},
+      {"simd_compiled", store::simd_compiled() ? 1.0 : 0.0},
       {"varint_batch_gbps", gbps(data.varint_total, varint_batch_s)},
-      {"varint_legacy_gbps", gbps(data.varint_total, varint_legacy_s)},
       {"prefix_sum_gbps", gbps(f64_total, prefix_s)},
       {"bitmap_eq_gbps", gbps(data.rows_total, eq_wide_s)},
       {"bitmap_eq_scalar_gbps", gbps(data.rows_total, eq_scalar_s)},
@@ -306,32 +219,15 @@ int main(int argc, char** argv) {
       {"time_window_gbps", gbps(f64_total, window_wide_s)},
       {"time_window_scalar_gbps", gbps(f64_total, window_scalar_s)},
       {"crc32_gbps", gbps(image.size(), crc_s)},
-      {"crc32_legacy_gbps", gbps(image.size(), crc_legacy_s)},
       {"cold_query_seconds", cold_wide_s},
       {"cold_query_scalar_seconds", cold_scalar_s},
   };
-
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"decode_kernels\",\n"
-      << "  \"scale\": " << options.scale << ",\n  \"seed\": " << options.seed
-      << ",\n  \"repeat\": " << repeat << ",\n"
-      << "  \"kernel_path\": \"" << store::kernel_path_name() << "\",\n"
-      << "  \"simd_compiled\": " << (store::simd_compiled() ? "true" : "false") << ",\n"
-      << "  \"events\": " << data.rows_total << ",\n"
-      << "  \"time_column_bytes\": " << data.varint_total << ",\n"
-      << "  \"store_bytes\": " << image.size();
-  for (const auto& [name, value] : numbers) {
-    out << ",\n  \"" << name << "\": " << value;
-  }
-  out << "\n}\n";
-  std::cout << "varint batch " << gbps(data.varint_total, varint_batch_s)
-            << " GB/s (legacy " << gbps(data.varint_total, varint_legacy_s)
-            << "), crc32 " << gbps(image.size(), crc_s) << " GB/s (legacy "
-            << gbps(image.size(), crc_legacy_s) << ")\n"
+  std::cout << "varint batch " << gbps(data.varint_total, varint_batch_s) << " GB/s, crc32 "
+            << gbps(image.size(), crc_s) << " GB/s\n"
             << "cold query " << cold_wide_s << " s wide, " << cold_scalar_s
-            << " s scalar\n"
-            << "wrote " << out_path << "\n";
+            << " s scalar\n";
 
-  bench::finish_run("bench/decode_bench", options, numbers);
+  bench::finish_run("bench/decode_bench", options, numbers,
+                    {{"kernel_path", std::string(store::kernel_path_name())}});
   return 0;
 }

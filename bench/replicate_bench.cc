@@ -9,15 +9,14 @@
 //
 // Fidelity gate: the ladder's base rung is recomputed at 1 thread and its
 // STORREP1 image must be byte-identical to the pool run — a replicator that
-// is fast but schedule-dependent exits nonzero. Results go to
-// BENCH_replicate.json; the provenance manifest rides through
-// bench::finish_run like every other harness.
+// is fast but schedule-dependent exits nonzero. The one output is the run
+// manifest (default BENCH_replicate.json): per rung `wall_seconds_<n>`,
+// `replicates_per_second_<n>`, `afr_rel_half_width_<n>`, plus the
+// sequential-stopping run and the `thread_invariant` gate.
 //
 //   replicate_bench [--scale=<f>] [--seed=<n>] [--threads=<n>]
-//                   [--out=<path>] [--ci-rel=<r>] [--manifest=<path>]
-#include <chrono>
+//                   [--ci-rel=<r>] [--manifest=<path>]
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -32,12 +31,6 @@
 namespace {
 
 using namespace storsubsim;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct RungResult {
   std::size_t replicates = 0;
@@ -54,22 +47,13 @@ double afr_total_rel_hw(const replicate::ReplicateSummary& summary) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = bench::parse_options(argc, argv);
-  std::string out_path = "BENCH_replicate.json";
   double ci_rel = 0.15;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--out=")) {
-      out_path = arg.substr(6);
-    } else if (arg.starts_with("--ci-rel=")) {
-      ci_rel = std::stod(std::string(arg.substr(9)));
-    }
-  }
-  if (options.manifest.empty()) {
-    std::string base = out_path;
-    if (base.ends_with(".json")) base.resize(base.size() - 5);
-    options.manifest = base + ".manifest.json";
-  }
+  const auto options = bench::parse_perf_options(
+      argc, argv, "BENCH_replicate.json", [&](std::string_view name, std::string_view value) {
+        if (name != "ci-rel") return false;
+        ci_rel = bench::parse_real(name, value);
+        return true;
+      });
 
   replicate::ReplicateOptions base;
   base.scale = options.scale;
@@ -86,9 +70,9 @@ int main(int argc, char** argv) {
   for (const std::size_t n : ladder) {
     auto opts = base;
     opts.max_replicates = n;
-    const double t0 = now_seconds();
+    const double t0 = obs::now_seconds();
     const auto summary = replicate::run_replication(opts);
-    const double wall = now_seconds() - t0;
+    const double wall = obs::now_seconds() - t0;
     RungResult rung;
     rung.replicates = summary.replicates;
     rung.wall_seconds = wall;
@@ -104,64 +88,42 @@ int main(int argc, char** argv) {
 
   // Fidelity gate: the base rung recomputed serially must serialize to the
   // exact bytes the pooled run produced.
-  {
-    util::set_thread_count(1);
-    auto opts = base;
-    opts.max_replicates = ladder[0];
-    const auto serial = replicate::run_replication(opts);
-    util::set_thread_count(options.threads);
-    if (replicate::encode_table(serial) != base_table) {
-      std::cerr << "FAIL: replication is thread-dependent\n";
-      return 1;
-    }
-    std::cout << "thread-invariance clean\n";
-  }
+  util::set_thread_count(1);
+  auto serial_opts = base;
+  serial_opts.max_replicates = ladder[0];
+  const bool thread_invariant =
+      replicate::encode_table(replicate::run_replication(serial_opts)) == base_table;
+  util::set_thread_count(options.threads);
+  std::cout << "thread-invariance " << (thread_invariant ? "clean" : "MISMATCH") << "\n";
 
   // Sequential stopping against the largest fixed budget.
   auto stop_opts = base;
   stop_opts.max_replicates = ladder[2];
   stop_opts.ci_rel = ci_rel;
-  const double t0 = now_seconds();
+  const double t0 = obs::now_seconds();
   const auto stopped = replicate::run_replication(stop_opts);
-  const double stop_wall = now_seconds() - t0;
+  const double stop_wall = obs::now_seconds() - t0;
   const double fixed_wall = rungs.back().wall_seconds;
   std::cout << "sequential stopping (ci_rel " << ci_rel << "): "
             << stopped.replicates << "/" << stop_opts.max_replicates
             << " replicates (" << replicate::to_string(stopped.stop_reason) << "), "
             << stop_wall << " s vs " << fixed_wall << " s fixed-N\n";
 
-  const std::uint64_t peak_rss = util::peak_rss_bytes();
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"replicate\",\n"
-      << "  \"scale\": " << base.scale << ",\n  \"seed\": " << base.seed
-      << ",\n  \"threads\": " << util::thread_count()
-      << ",\n  \"ci_rel\": " << ci_rel
-      << ",\n  \"peak_rss_bytes\": " << peak_rss << ",\n  \"ladder\": [\n";
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const auto& rung = rungs[i];
-    out << "    {\"replicates\": " << rung.replicates
-        << ", \"wall_seconds\": " << rung.wall_seconds
-        << ", \"replicates_per_second\": " << rung.replicates_per_second
-        << ", \"afr_rel_half_width\": " << rung.afr_rel_half_width << "}"
-        << (i + 1 < rungs.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"sequential\": {\"replicates\": " << stopped.replicates
-      << ", \"budget\": " << stop_opts.max_replicates
-      << ", \"stop_reason\": \"" << replicate::to_string(stopped.stop_reason)
-      << "\", \"wall_seconds\": " << stop_wall
-      << ", \"fixed_wall_seconds\": " << fixed_wall << "}\n}\n";
-  std::cout << "wrote " << out_path << "\n";
-
   std::vector<std::pair<std::string, double>> numbers;
   for (const auto& rung : rungs) {
     const std::string suffix = std::to_string(rung.replicates);
     numbers.emplace_back("wall_seconds_" + suffix, rung.wall_seconds);
+    numbers.emplace_back("replicates_per_second_" + suffix, rung.replicates_per_second);
     numbers.emplace_back("afr_rel_half_width_" + suffix, rung.afr_rel_half_width);
   }
+  numbers.emplace_back("ci_rel", ci_rel);
+  numbers.emplace_back("sequential_budget", static_cast<double>(stop_opts.max_replicates));
   numbers.emplace_back("sequential_replicates", static_cast<double>(stopped.replicates));
   numbers.emplace_back("sequential_wall_seconds", stop_wall);
-  numbers.emplace_back("peak_rss_bytes", static_cast<double>(peak_rss));
-  bench::finish_run("bench/replicate_bench", options, numbers);
-
-  return 0;
+  numbers.emplace_back("fixed_wall_seconds", fixed_wall);
+  numbers.emplace_back("thread_invariant", thread_invariant ? 1.0 : 0.0);
+  numbers.emplace_back("peak_rss_bytes", static_cast<double>(util::peak_rss_bytes()));
+  bench::finish_run("bench/replicate_bench", options, numbers,
+                    {{"stop_reason", std::string(replicate::to_string(stopped.stop_reason))}});
+  return thread_invariant ? 0 : 1;
 }

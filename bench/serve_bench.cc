@@ -1,6 +1,7 @@
 // storsimd serving throughput: the QPS ladder behind docs/SERVE.md.
 //
-// Builds (or reuses) a columnar store, starts an in-process serve::Daemon on
+// Reads a columnar store (--store, or the standard fleet built into a scratch
+// file removed at exit), starts an in-process serve::Daemon on
 // a unix socket — the identical code path `storsubsim serve` runs — and
 // drives it with 1, 4, 16 and 64 concurrent clients. Each client loops a
 // steady-state request mix (grouped query, whole-fleet AFR, windowed query)
@@ -9,20 +10,18 @@
 //
 // Fidelity gate: every response must be byte-identical to the offline
 // renderer's answer for the same request — a daemon that serves fast but
-// wrong exits nonzero. Results go to BENCH_serve.json; the provenance
-// manifest rides through bench::finish_run like every other harness.
+// wrong exits nonzero. The one output is the run manifest (default
+// BENCH_serve.json): per rung `qps_<clients>`, `p50_us_<clients>`,
+// `p99_us_<clients>`, `requests_<clients>`, `wall_seconds_<clients>`, plus the
+// `mismatches` gate and `peak_rss_bytes`.
 //
 //   serve_bench [--scale=<f>] [--seed=<n>] [--threads=<n>] [--store=<path>]
-//               [--out=<path>] [--requests=<n per client>]
-//               [--manifest=<path>] [--trace=<path>]
+//               [--requests=<n per client>] [--manifest=<path>] [--trace=<path>]
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -31,10 +30,7 @@
 
 #include "common.h"
 #include "core/analysis_render.h"
-#include "core/pipeline.h"
 #include "core/source.h"
-#include "core/store_bridge.h"
-#include "model/fleet_config.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/protocol.h"
@@ -46,12 +42,6 @@
 namespace {
 
 using namespace storsubsim;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// One rung of the ladder: N clients hammering the daemon concurrently.
 struct RungResult {
@@ -81,7 +71,7 @@ RungResult run_rung(const std::string& socket_path, std::size_t clients,
   std::vector<std::vector<double>> latencies(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
-  const double t0 = now_seconds();
+  const double t0 = obs::now_seconds();
   for (std::size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       serve::Client client;
@@ -94,18 +84,18 @@ RungResult run_rung(const std::string& socket_path, std::size_t clients,
       for (std::uint64_t r = 0; r < per_client; ++r) {
         const std::size_t i = (r + c) % mix.size();
         serve::Response response;
-        const double start = now_seconds();
+        const double start = obs::now_seconds();
         if (!client.request(mix[i], &response).ok()) {
           mismatches.fetch_add(1);
           continue;
         }
-        lat.push_back(now_seconds() - start);
+        lat.push_back(obs::now_seconds() - start);
         if (!response.ok || response.table != expected[i]) mismatches.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
-  rung.wall_seconds = now_seconds() - t0;
+  rung.wall_seconds = obs::now_seconds() - t0;
   std::vector<double> all;
   for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
   std::sort(all.begin(), all.end());
@@ -122,36 +112,16 @@ RungResult run_rung(const std::string& socket_path, std::size_t clients,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = bench::parse_options(argc, argv);
-  std::string out_path = "BENCH_serve.json";
   std::uint64_t per_client = 250;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--out=")) {
-      out_path = std::string(arg.substr(6));
-    } else if (arg.starts_with("--requests=")) {
-      per_client = std::stoull(std::string(arg.substr(11)));
-    }
-  }
-  if (options.manifest.empty()) {
-    std::string base = out_path;
-    if (base.ends_with(".json")) base.resize(base.size() - 5);
-    options.manifest = base + ".manifest.json";
-  }
-  util::set_thread_count(options.threads);
+  const auto options = bench::parse_perf_options(
+      argc, argv, "BENCH_serve.json", [&](std::string_view name, std::string_view value) {
+        if (name != "requests") return false;
+        per_client = bench::parse_count(name, value);
+        return true;
+      });
 
   // The served corpus: an existing store (--store) or one built here.
-  std::string store_path = options.store;
-  if (store_path.empty()) {
-    store_path = "BENCH_serve.store";
-    const auto run =
-        core::simulate_and_analyze(model::standard_fleet_config(options.scale, options.seed));
-    if (const auto err = core::write_store(store_path, run, options.seed, options.scale);
-        !err.ok()) {
-      std::cerr << "FAIL: cannot write store: " << err.describe() << "\n";
-      return 1;
-    }
-  }
+  const std::string store_path = bench::input_store(options, "serve");
   store::EventStore reference;
   if (const auto err = reference.open(store_path); !err.ok()) {
     std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
@@ -221,33 +191,19 @@ int main(int argc, char** argv) {
             << (mismatches == 0 ? "clean" : "MISMATCH") << ", peak RSS "
             << peak_rss << " bytes\n";
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"serve_qps\",\n"
-      << "  \"scale\": " << options.scale << ",\n  \"seed\": " << options.seed
-      << ",\n  \"requests_per_client\": " << per_client << ",\n"
-      << "  \"events\": " << reference.event_count() << ",\n"
-      << "  \"mismatches\": " << mismatches << ",\n"
-      << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
-      << "  \"ladder\": [\n";
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    const auto& rung = rungs[i];
-    out << "    {\"clients\": " << rung.clients << ", \"requests\": " << rung.requests
-        << ", \"wall_seconds\": " << rung.wall_seconds << ", \"qps\": " << rung.qps
-        << ", \"p50_us\": " << rung.p50_us << ", \"p99_us\": " << rung.p99_us << "}"
-        << (i + 1 < rungs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  std::vector<std::pair<std::string, double>> numbers;
+  std::vector<std::pair<std::string, double>> numbers = {
+      {"events", static_cast<double>(reference.event_count())},
+      {"requests_per_client", static_cast<double>(per_client)},
+      {"mismatches", static_cast<double>(mismatches)},
+      {"peak_rss_bytes", static_cast<double>(peak_rss)}};
   for (const auto& rung : rungs) {
     const std::string suffix = std::to_string(rung.clients);
     numbers.emplace_back("qps_" + suffix, rung.qps);
     numbers.emplace_back("p50_us_" + suffix, rung.p50_us);
     numbers.emplace_back("p99_us_" + suffix, rung.p99_us);
+    numbers.emplace_back("requests_" + suffix, static_cast<double>(rung.requests));
+    numbers.emplace_back("wall_seconds_" + suffix, rung.wall_seconds);
   }
-  numbers.emplace_back("peak_rss_bytes", static_cast<double>(peak_rss));
-  options.store = store_path;
   bench::finish_run("bench/serve_bench", options, numbers);
 
   return mismatches == 0 ? 0 : 1;

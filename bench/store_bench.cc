@@ -11,35 +11,34 @@
 // The store-backed breakdown must match the in-memory pipeline's breakdown
 // bit for bit, and the query's per-type counts must match the classifier's —
 // the program exits nonzero otherwise, so the speedup is apples-to-apples.
-// Results go to BENCH_store.json.
+// The one output is the run manifest (default BENCH_store.json).
 //
 //   store_bench [--scale=<f>] [--seed=<n>] [--repeat=<n>] [--threads=<n>]
-//               [--store=<path>] [--out=<path>]
+//               [--store=<path>] [--manifest=<path>]
 //               [--shards=<n>] [--max-rss-mb=<m>]
 //
 // --repeat keeps the fastest of n runs per stage (min-of-N). --store names
-// the store file written during the run (default: a file next to the json).
+// the store written during the run and keeps it; without it the store goes
+// to a scratch file under the temp directory, removed at exit.
 //
 // Passing --shards and/or --max-rss-mb switches to the sharded build path:
 // --store then names a DIRECTORY that receives N STORCOL1 shards plus a
 // MANIFEST (core::build_sharded_store), and the bench additionally reports
-// the shard count, the per-shard build seconds, and the cold cross-shard
-// rerun cost (fresh ShardStore open + merged AFR + grouped query spanning
-// every shard). The fidelity gates are unchanged: the merged answers must
-// equal the in-memory pipeline's bit for bit.
-#include <chrono>
+// the shard count, the per-shard build seconds (`shard_<i>_build_seconds`),
+// and the cold cross-shard rerun cost (fresh ShardStore open + merged AFR +
+// grouped query spanning every shard). The fidelity gates are unchanged: the
+// merged answers must equal the in-memory pipeline's bit for bit.
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common.h"
 #include "core/afr.h"
 #include "core/pipeline.h"
 #include "core/sharded_build.h"
-#include "obs/obs.h"
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "store/query.h"
@@ -51,12 +50,6 @@
 namespace {
 
 using namespace storsubsim;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 bool same_breakdown(const std::vector<core::AfrBreakdown>& a,
                     const std::vector<core::AfrBreakdown>& b) {
@@ -73,45 +66,30 @@ bool same_breakdown(const std::vector<core::AfrBreakdown>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double scale = 1.0;
-  std::uint64_t seed = 20080226;
-  int repeat = 3;
-  unsigned threads = 0;
   std::size_t shard_opt = 0;
   std::uint64_t max_rss_mb = 0;
-  std::string out_path = "BENCH_store.json";
-  std::string store_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.starts_with("--scale=")) {
-      scale = std::stod(std::string(arg.substr(8)));
-    } else if (arg.starts_with("--seed=")) {
-      seed = std::stoull(std::string(arg.substr(7)));
-    } else if (arg.starts_with("--repeat=")) {
-      repeat = static_cast<int>(std::stoul(std::string(arg.substr(9))));
-    } else if (arg.starts_with("--threads=")) {
-      threads = static_cast<unsigned>(std::stoul(std::string(arg.substr(10))));
-    } else if (arg.starts_with("--shards=")) {
-      shard_opt = std::stoul(std::string(arg.substr(9)));
-    } else if (arg.starts_with("--max-rss-mb=")) {
-      max_rss_mb = std::stoull(std::string(arg.substr(13)));
-    } else if (arg.starts_with("--store=")) {
-      store_path = std::string(arg.substr(8));
-    } else if (arg.starts_with("--out=")) {
-      out_path = std::string(arg.substr(6));
-    }
-  }
-  if (repeat < 1) repeat = 1;
+  const auto options = bench::parse_perf_options(
+      argc, argv, "BENCH_store.json", [&](std::string_view name, std::string_view value) {
+        if (name == "shards") {
+          shard_opt = bench::parse_count(name, value);
+        } else if (name == "max-rss-mb") {
+          max_rss_mb = bench::parse_count(name, value);
+        } else {
+          return false;
+        }
+        return true;
+      });
+  const double scale = options.scale;
+  const std::uint64_t seed = options.seed;
   const bool sharded = shard_opt > 0 || max_rss_mb > 0;
-  if (store_path.empty()) {
-    store_path = sharded ? "BENCH_store.shards" : "BENCH_store.store";
-  }
-  util::set_thread_count(threads);
+  const std::string store_path = !options.store.empty() ? options.store
+                                 : sharded              ? bench::scratch_path("store.shards")
+                                                        : bench::scratch_path("store.store");
 
   // The cost a store-less rerun pays: the full text-log pipeline.
-  double t0 = now_seconds();
+  const double t0 = obs::now_seconds();
   const auto run = core::simulate_and_analyze(model::standard_fleet_config(scale, seed));
-  const double pipeline_seconds = now_seconds() - t0;
+  const double pipeline_seconds = obs::now_seconds() - t0;
   std::cout << "scale " << scale << ": " << run.dataset.events().size() << " failures, "
             << run.dataset.inventory().disks.size() << " disk records ("
             << pipeline_seconds << " s full pipeline)\n";
@@ -120,36 +98,25 @@ int main(int argc, char** argv) {
   // Build cost (paid once per simulation). The sharded path re-simulates in
   // chunks (that is the point: bounded memory), so its build time includes
   // the simulation; the monolithic path serializes the run already in hand.
-  double build_seconds = 0.0;
-  std::size_t shard_count = 0;
-  std::vector<double> shard_build_seconds;
-  for (int r = 0; r < repeat; ++r) {
-    t0 = now_seconds();
+  std::vector<core::ShardedBuildResult> builds(static_cast<std::size_t>(options.repeat));
+  const auto build = bench::min_of_n(options.repeat, [&](int r) {
     store::Error err;
-    core::ShardedBuildResult built;
     if (sharded) {
-      core::ShardedBuildOptions options;
-      options.shards = shard_opt;
-      options.max_rss_mb = max_rss_mb;
-      err = core::build_sharded_store(store_path,
-                                      model::standard_fleet_config(scale, seed), options,
-                                      &built);
+      core::ShardedBuildOptions build_options;
+      build_options.shards = shard_opt;
+      build_options.max_rss_mb = max_rss_mb;
+      err = core::build_sharded_store(store_path, model::standard_fleet_config(scale, seed),
+                                      build_options, &builds[static_cast<std::size_t>(r)]);
     } else {
       err = core::write_store(store_path, run, seed, scale);
     }
-    const double elapsed = now_seconds() - t0;
     if (!err.ok()) {
       std::cerr << "FAIL: cannot write store: " << err.describe() << "\n";
-      return 1;
+      std::exit(1);
     }
-    if (r == 0 || elapsed < build_seconds) {
-      build_seconds = elapsed;
-      if (sharded) {
-        shard_count = built.shards;
-        shard_build_seconds = std::move(built.shard_build_seconds);
-      }
-    }
-  }
+  });
+  const double build_seconds = build.seconds;
+  const auto& built = builds[static_cast<std::size_t>(build.run)];
   std::uint64_t file_bytes = 0;
   if (sharded) {
     store::ShardStore probe;
@@ -161,8 +128,7 @@ int main(int argc, char** argv) {
       file_bytes += probe.info(s).file_size;
     }
   } else {
-    std::ifstream in(store_path, std::ios::binary | std::ios::ate);
-    file_bytes = static_cast<std::uint64_t>(in.tellg());
+    file_bytes = std::filesystem::file_size(store_path);
   }
 
   // Rerun cost (paid per reanalysis): cold open + the whole-fleet AFR
@@ -170,45 +136,38 @@ int main(int argc, char** argv) {
   // header/footer validation, CRCs and time-column decoding are all counted;
   // in sharded mode each repeat is a fresh ShardStore whose analysis crosses
   // every shard (manifest parse + N lazy shard validations included).
-  double rerun_seconds = 0.0;
   std::vector<core::AfrBreakdown> store_breakdown;
   store::QueryResult grouped;
-  for (int r = 0; r < repeat; ++r) {
+  const double rerun_seconds = bench::min_of_n(options.repeat, [&](int r) {
     std::vector<core::AfrBreakdown> breakdown;
     store::QueryResult result;
+    store::Query query;
+    query.group_by = store::Query::GroupBy::kSystemClass;
     if (sharded) {
-      t0 = now_seconds();
       store::ShardStore shards;
       if (const auto err = shards.open(store_path); !err.ok()) {
         std::cerr << "FAIL: cannot open shard directory: " << err.describe() << "\n";
-        return 1;
+        std::exit(1);
       }
       breakdown = core::afr_by_class(core::Source(shards));
-      store::Query query;
-      query.group_by = store::Query::GroupBy::kSystemClass;
       if (const auto err = store::run_query(shards, query, &result); !err.ok()) {
         std::cerr << "FAIL: sharded query: " << err.describe() << "\n";
-        return 1;
+        std::exit(1);
       }
     } else {
-      t0 = now_seconds();
       store::EventStore es;
       if (const auto err = es.open(store_path); !err.ok()) {
         std::cerr << "FAIL: cannot open store: " << err.describe() << "\n";
-        return 1;
+        std::exit(1);
       }
       breakdown = core::afr_by_class(core::Source(es));
-      store::Query query;
-      query.group_by = store::Query::GroupBy::kSystemClass;
       result = store::run_query(es, query);
     }
-    const double elapsed = now_seconds() - t0;
-    if (r == 0 || elapsed < rerun_seconds) rerun_seconds = elapsed;
     if (r == 0) {
       store_breakdown = std::move(breakdown);
       grouped = std::move(result);
     }
-  }
+  }).seconds;
   util::set_thread_count(0);
 
   // Fidelity gates: the mmap path must reproduce the in-memory results
@@ -231,62 +190,31 @@ int main(int argc, char** argv) {
   const std::uint64_t peak_rss = util::peak_rss_bytes();
 
   std::cout << "store: " << file_bytes << " bytes";
-  if (sharded) std::cout << " across " << shard_count << " shard(s)";
+  if (sharded) std::cout << " across " << built.shards << " shard(s)";
   std::cout << ", build " << build_seconds << " s, mmap+query rerun " << rerun_seconds
             << " s\n"
             << "rerun speedup over full pipeline: " << speedup << "x\n"
             << "AFR breakdown " << (breakdown_identical ? "bit-identical" : "MISMATCH")
             << ", query counts " << (query_identical ? "identical" : "MISMATCH") << "\n";
 
-  std::ofstream out(out_path);
-  out << "{\n  \"benchmark\": \"store_rerun\",\n"
-      << "  \"scale\": " << scale << ",\n  \"seed\": " << seed
-      << ",\n  \"repeat\": " << repeat << ",\n"
-      << "  \"events\": " << run.dataset.events().size()
-      << ",\n  \"disk_records\": " << run.dataset.inventory().disks.size() << ",\n"
-      << "  \"store_bytes\": " << file_bytes << ",\n"
-      << "  \"shards\": " << shard_count << ",\n";
-  if (sharded) {
-    out << "  \"shard_build_seconds\": [";
-    for (std::size_t s = 0; s < shard_build_seconds.size(); ++s) {
-      out << (s == 0 ? "" : ", ") << shard_build_seconds[s];
-    }
-    out << "],\n"
-        << "  \"rerun_cold_cross_shard_seconds\": " << rerun_seconds << ",\n";
+  std::vector<std::pair<std::string, double>> numbers = {
+      {"events", static_cast<double>(run.dataset.events().size())},
+      {"disk_records", static_cast<double>(run.dataset.inventory().disks.size())},
+      {"store_bytes", static_cast<double>(file_bytes)},
+      {"shards", static_cast<double>(built.shards)},
+      {"peak_rss_bytes", static_cast<double>(peak_rss)},
+      {"pipeline_seconds", pipeline_seconds},
+      {"store_build_seconds", build_seconds},
+      {"rerun_open_query_seconds", rerun_seconds},
+      {"rerun_speedup", speedup},
+      {"breakdown_identical", breakdown_identical ? 1.0 : 0.0},
+      {"query_identical", query_identical ? 1.0 : 0.0}};
+  for (std::size_t s = 0; s < built.shard_build_seconds.size(); ++s) {
+    numbers.emplace_back("shard_" + std::to_string(s) + "_build_seconds",
+                         built.shard_build_seconds[s]);
   }
-  out << "  \"peak_rss_bytes\": " << peak_rss << ",\n"
-      << "  \"pipeline_seconds\": " << pipeline_seconds << ",\n"
-      << "  \"store_build_seconds\": " << build_seconds << ",\n"
-      << "  \"rerun_open_query_seconds\": " << rerun_seconds << ",\n"
-      << "  \"rerun_speedup\": " << speedup << ",\n"
-      << "  \"breakdown_identical\": " << (breakdown_identical ? "true" : "false") << ",\n"
-      << "  \"query_identical\": " << (query_identical ? "true" : "false") << "\n}\n";
-  std::cout << "wrote " << out_path << "\n";
-
-  // Provenance manifest next to the result file (BENCH_store.manifest.json).
-  obs::RunManifest manifest;
-  manifest.tool = "bench/store_bench";
-  manifest.seed = seed;
-  manifest.scale = scale;
-  manifest.threads = util::thread_count();
-  manifest.info.emplace_back("store", store_path);
-  manifest.info.emplace_back("out", out_path);
-  manifest.numbers.emplace_back("pipeline_seconds", pipeline_seconds);
-  manifest.numbers.emplace_back("store_build_seconds", build_seconds);
-  manifest.numbers.emplace_back("rerun_open_query_seconds", rerun_seconds);
-  manifest.numbers.emplace_back("rerun_speedup", speedup);
-  manifest.numbers.emplace_back("store_bytes", static_cast<double>(file_bytes));
-  manifest.numbers.emplace_back("shards", static_cast<double>(shard_count));
-  manifest.numbers.emplace_back("peak_rss_bytes", static_cast<double>(peak_rss));
-  std::string manifest_path = out_path;
-  if (manifest_path.ends_with(".json")) {
-    manifest_path.resize(manifest_path.size() - 5);
-  }
-  manifest_path += ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
-    std::cerr << "cannot write manifest " << manifest_path << "\n";
-    return 1;
-  }
-
+  std::vector<std::pair<std::string, std::string>> info;
+  if (!options.store.empty()) info.emplace_back("store", options.store);
+  bench::finish_run("bench/store_bench", options, numbers, info);
   return (breakdown_identical && query_identical) ? 0 : 1;
 }

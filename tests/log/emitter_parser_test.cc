@@ -1,17 +1,26 @@
 // Emitter/parser round-trips, the Figure 3 propagation chain shape, and
 // failure injection (corrupt, truncated, foreign, reordered lines).
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "log/classifier.h"
 #include "log/codes.h"
 #include "log/emitter.h"
 #include "log/line_writer.h"
 #include "log/parser.h"
+#include "log/snapshot.h"
+#include "sim/log_bridge.h"
+#include "sim/scenario.h"
+#include "store/format.h"
 
 namespace log_ns = storsubsim::log;
 namespace model = storsubsim::model;
@@ -243,6 +252,62 @@ TEST(GoldenFormat, BufferPathRendersExactBytes) {
     }
     EXPECT_EQ(out.view(), expected) << model::to_string(golden.type);
   }
+}
+
+// The whole paper-scale fleet (scale 1.0, seed 20080226), pinned by byte
+// count and CRC-32 (the zlib polynomial: zlib.crc32 over the files
+// `storsubsim simulate --scale 1.0` writes gives the same values). They were
+// taken from a tree whose log text was verified byte-identical, at this scale
+// and seed, to the pre-optimisation emitter, and whose classification matched
+// that implementation's. One changed character in any message template,
+// separator or number rendering fails here.
+TEST(GoldenFormat, FullFleetLogAndSnapshotDigest) {
+  const auto fs = storsubsim::sim::run_standard(1.0, 20080226);
+
+  {
+    log_ns::LineWriter snapshot;
+    log_ns::write_snapshot(snapshot, fs.fleet);
+    EXPECT_EQ(snapshot.size(), 200'720'311u);
+    EXPECT_EQ(storsubsim::store::crc32(snapshot.view().data(), snapshot.size()), 0x7603e2e5u);
+  }
+
+  log_ns::LineWriter logs;
+  EXPECT_EQ(storsubsim::sim::write_failure_logs(logs, fs.fleet, fs.result.failures), 727'317u);
+  EXPECT_EQ(logs.size(), 108'668'034u);
+  EXPECT_EQ(storsubsim::store::crc32(logs.view().data(), logs.size()), 0x2851e86au);
+
+  // Classification identity: parsing and classifying the text recovers the
+  // simulated failures one by one — disk, system and type exactly, and the
+  // detection time as the log renders it (3 decimals). Both lists are put in
+  // the same (millisecond, disk, type) order first.
+  std::vector<log_ns::LogView> views;
+  log_ns::parse_text(logs.view(), views);
+  auto classified = log_ns::classify(std::span<const log_ns::LogView>(views));
+  auto simulated = fs.result.failures;
+  const auto ms = [](double t) { return std::llround(t * 1000.0); };
+  std::sort(classified.begin(), classified.end(), [&](const auto& a, const auto& b) {
+    return std::tuple(ms(a.time), a.disk, static_cast<int>(a.type)) <
+           std::tuple(ms(b.time), b.disk, static_cast<int>(b.type));
+  });
+  std::sort(simulated.begin(), simulated.end(), [&](const auto& a, const auto& b) {
+    return std::tuple(ms(a.detect_time), a.disk, static_cast<int>(a.type)) <
+           std::tuple(ms(b.detect_time), b.disk, static_cast<int>(b.type));
+  });
+  ASSERT_EQ(classified.size(), simulated.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < classified.size(); ++i) {
+    const auto& c = classified[i];
+    const auto& f = simulated[i];
+    const bool same = c.disk == f.disk && c.system == f.system && c.type == f.type &&
+                      std::abs(c.time - f.detect_time) <= 0.0005 + 1e-6;
+    if (!same && mismatches++ == 0) {
+      ADD_FAILURE() << "first classification mismatch at failure " << i << ": parsed t="
+                    << c.time << " disk=" << c.disk.value() << " sys=" << c.system.value()
+                    << ", simulated t=" << f.detect_time << " disk=" << f.disk.value()
+                    << " sys=" << f.system.value();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // --- attribute keys anchor at token boundaries -------------------------------

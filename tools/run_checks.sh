@@ -4,47 +4,48 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (601 unit/integration tests + the storsim_lint fixture suite
-#      + the StorsimLint.TreeIsClean gate)
+#   2. ctest (608 cases: unit/integration tests, the storsim_lint fixture
+#      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
+#      cases).
+#      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
+#      and snapshot bytes and checks that classification recovers the
+#      simulated failures one by one
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
 #      filtered down with extra args); also emits build/lint-report.json,
 #      the --format=json report CI consumes
-#   4. pipeline_throughput smoke at --scale=0.05: asserts the fast log path
-#      and the legacy baseline stay byte-identical (speedups are measured at
-#      full scale separately; see docs/performance.md)
-#   5. store round-trip at full scale: store_bench simulates the paper-scale
+#   4. store round-trip at full scale: store_bench simulates the paper-scale
 #      fleet, serializes it, and asserts the mmap+query rerun reproduces the
 #      AFR breakdown bit for bit (docs/STORE.md); plus a corruption smoke —
 #      a truncated and a bit-flipped store must be rejected by the CLI
-#   6. observability gate (docs/OBSERVABILITY.md): a full-scale analyze with
+#   5. observability gate (docs/OBSERVABILITY.md): a full-scale analyze with
 #      --metrics --trace --manifest must print byte-identical stdout to the
 #      plain run, the manifest and trace must be valid JSON, and turning the
 #      obs stack on must cost <2% wall time on the scale-1.0 log pipeline
 #      (paired min-of-N runs on this machine; the committed BENCH_pipeline.json
 #      numbers are the cross-machine reference)
-#   7. sharded store gate (docs/STORE.md): a full-scale `store build
+#   6. sharded store gate (docs/STORE.md): a full-scale `store build
 #      --max-rss-mb 256` must fit the budget the monolithic writer exceeds
 #      (~630 MiB on this fleet), and `analyze --input <shard-dir>` must print
-#      byte-identical reports to the single-file store from step 5
-#   8. decode-kernel identity gate (docs/STORE.md): a second build configured
+#      byte-identical reports to the single-file store from step 4
+#   7. decode-kernel identity gate (docs/STORE.md): a second build configured
 #      with -DSTORSUBSIM_SIMD=OFF (scalar-only decode kernels) must produce
 #      byte-identical full-scale analyze reports to the default SIMD build —
 #      the wide kernels are an optimisation, never a semantic change
-#   9. storsimd gate (docs/SERVE.md): a real `storsubsim serve` daemon over
-#      the step-5 store, and another over the step-7 shard directory with
+#   8. storsimd gate (docs/SERVE.md): a real `storsubsim serve` daemon over
+#      the step-4 store, and another over the step-6 shard directory with
 #      --max-open-shards 2, answer parallel `storsubsim client` calls byte-
 #      identically to the offline path, the serve_bench QPS ladder clears a
 #      conservative floor with zero mismatches, and SIGTERM drains cleanly
 #      (exit 0, socket unlinked)
-#  10. clang-tidy over src/ when available (the container may not ship it;
+#   9. clang-tidy over src/ when available (the container may not ship it;
 #      the curated profile lives in .clang-tidy)
-#  11. replication gate (docs/REPLICATION.md): `storsubsim replicate` at
+#  10. replication gate (docs/REPLICATION.md): `storsubsim replicate` at
 #      --threads 1 and 4 must write byte-identical STORREP1 tables and
 #      reports, `analyze --replicates` must re-render the table byte for
 #      byte without re-simulating, and a ci_rel run must stop before the
 #      fixed budget with its provenance manifest recording why
-#  12. repository benchmark smoke (perfbench/README.md): every workload runs
+#  11. repository benchmark smoke (perfbench/README.md): every workload runs
 #      once untraced and twice traced at scale 0.02, reports every metric
 #      BENCHMARK.json names, passes its output checks, and repeats its
 #      deterministic counts exactly
@@ -54,14 +55,14 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== [1/12] configure + build =="
+echo "== [1/11] configure + build =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
-echo "== [2/12] ctest =="
+echo "== [2/11] ctest =="
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
-echo "== [3/12] storsim_lint =="
+echo "== [3/11] storsim_lint =="
 # Emit the machine-readable report first (it must exist even when the gate
 # below fails, so CI can surface the findings), then run the human gate.
 ./build/tools/storsim_lint --format=json --root . src bench tests \
@@ -69,13 +70,9 @@ echo "== [3/12] storsim_lint =="
 ./build/tools/storsim_lint --check --root . src bench tests
 echo "machine-readable report: build/lint-report.json"
 
-echo "== [4/12] pipeline_throughput smoke =="
-./build/bench/pipeline_throughput --scale=0.05 --repeat=1 \
-  --out=build/BENCH_pipeline_smoke.json
-
-echo "== [5/12] store round-trip (full scale) + corruption smoke =="
+echo "== [4/11] store round-trip (full scale) + corruption smoke =="
 ./build/bench/store_bench --scale=1.0 --repeat=1 \
-  --store=build/BENCH_checks.store --out=build/BENCH_store_checks.json
+  --store=build/BENCH_checks.store --manifest=build/BENCH_store_checks.json
 # Corrupt stores must be rejected, never crash: truncate one copy, flip a
 # byte in another.
 head -c 1000 build/BENCH_checks.store > build/BENCH_checks_truncated.store
@@ -90,8 +87,8 @@ for broken in build/BENCH_checks_truncated.store build/BENCH_checks_flipped.stor
 done
 echo "corrupted stores rejected with typed errors"
 
-echo "== [6/12] observability: byte identity + manifest + overhead =="
-# Byte identity at full scale: the store built in step 5 feeds the same
+echo "== [5/11] observability: byte identity + manifest + overhead =="
+# Byte identity at full scale: the store built in step 4 feeds the same
 # analyze invocation with the obs stack off and fully on. --input also
 # exercises the STORCOL1 magic sniffing path.
 ./build/tools/storsubsim analyze --store build/BENCH_checks.store \
@@ -126,20 +123,19 @@ fi
 # stay within 2% of the plain run (paired min-of-3 on this machine — the
 # committed BENCH_pipeline.json is a different box, so it is reference only).
 ./build/bench/pipeline_throughput --scale=1.0 --repeat=3 \
-  --out=build/BENCH_pipeline_check.json > /dev/null
+  --manifest=build/BENCH_pipeline_check.json > /dev/null
 ./build/bench/pipeline_throughput --scale=1.0 --repeat=3 \
   --metrics --trace=build/BENCH_pipeline_check.trace.json \
-  --out=build/BENCH_pipeline_check_obs.json > /dev/null 2>&1
+  --manifest=build/BENCH_pipeline_check_obs.json > /dev/null 2>&1
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'PYEOF'
 import json
 def wall(path):
-    doc = json.load(open(path))
-    fast = doc["fast"]
-    return fast["emit_seconds"] + fast["parse_seconds"] + fast["classify_seconds"]
+    numbers = json.load(open(path))["numbers"]
+    return numbers["emit_seconds"] + numbers["parse_seconds"] + numbers["classify_seconds"]
 plain, obs = wall("build/BENCH_pipeline_check.json"), wall("build/BENCH_pipeline_check_obs.json")
 overhead = obs / plain - 1.0
-print("obs overhead on the fast path: %+.2f%% (plain %.3fs, obs %.3fs)"
+print("obs overhead on the log path: %+.2f%% (plain %.3fs, obs %.3fs)"
       % (overhead * 100.0, plain, obs))
 assert overhead < 0.02, "obs stack costs more than 2%% wall time (%.2f%%)" % (overhead * 100.0)
 PYEOF
@@ -147,14 +143,14 @@ else
   echo "python3 unavailable; skipping the <2% overhead comparison"
 fi
 
-echo "== [7/12] sharded store: bounded-memory build + merged-answer identity =="
+echo "== [6/11] sharded store: bounded-memory build + merged-answer identity =="
 # Full-scale sharded build under a budget the monolithic writer exceeds
-# (step 5's single-file build peaks around 630 MiB on this fleet). The build
+# (step 4's single-file build peaks around 630 MiB on this fleet). The build
 # records its own peak RSS in the directory's build.manifest.json.
 ./build/tools/storsubsim store build --out build/BENCH_checks.shards \
   --scale 1.0 --max-rss-mb 256
 # The merged answers must be byte-identical to the single-file store from
-# step 5 (same seed/scale), across both the aggregate and dataset paths.
+# step 4 (same seed/scale), across both the aggregate and dataset paths.
 for report in afr burstiness correlation; do
   ./build/tools/storsubsim analyze --input build/BENCH_checks.store \
     --report "$report" > "build/CHECK_shards_mono_$report.txt"
@@ -164,7 +160,7 @@ for report in afr burstiness correlation; do
 done
 echo "sharded analyze byte-identical to the single-file store (afr, burstiness, correlation)"
 # RSS-budget gate: the sharded build must honour --max-rss-mb, and must use
-# far less memory than the monolithic path (recorded by step 5's bench).
+# far less memory than the monolithic path (recorded by step 4's bench).
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'PYEOF'
 import json
@@ -172,7 +168,7 @@ build = json.load(open("build/BENCH_checks.shards/build.manifest.json"))
 sharded_peak = build["numbers"]["peak_rss_bytes"]
 shards = int(build["numbers"]["shards"])
 mono = json.load(open("build/BENCH_store_checks.json"))
-mono_peak = mono["peak_rss_bytes"]
+mono_peak = mono["numbers"]["peak_rss_bytes"]
 budget = 256 * 1024 * 1024
 print("sharded build: %d shards, peak RSS %.0f MiB (budget 256 MiB); "
       "monolithic pipeline peaked at %.0f MiB"
@@ -185,10 +181,10 @@ else
   echo "python3 unavailable; skipping the RSS-budget assertion"
 fi
 
-echo "== [8/12] decode-kernel identity: scalar build vs SIMD build =="
+echo "== [7/11] decode-kernel identity: scalar build vs SIMD build =="
 # A scalar-only build (-DSTORSUBSIM_SIMD=OFF) must answer the full-scale
 # analyze byte for byte like the default build: the wide kernels may only
-# change speed, never output. Reuses the step-5 store so both binaries read
+# change speed, never output. Reuses the step-4 store so both binaries read
 # the exact same bytes.
 cmake -S . -B build-scalar -DSTORSUBSIM_SIMD=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -202,12 +198,12 @@ for report in afr burstiness correlation; do
 done
 echo "scalar-kernel build byte-identical to the SIMD build (afr, burstiness, correlation)"
 
-echo "== [9/12] storsimd: daemon byte-identity + QPS floor + drain =="
-# A real `storsubsim serve` daemon over the full-scale store from step 5,
+echo "== [8/11] storsimd: daemon byte-identity + QPS floor + drain =="
+# A real `storsubsim serve` daemon over the full-scale store from step 4,
 # driven by parallel `storsubsim client` invocations: every endpoint must be
 # byte-identical to the offline path, and SIGTERM must drain cleanly
 # (exit 0, socket unlinked). `serve_gate INPUT TAG [serve flags...]` runs
-# that gate over INPUT; the second run serves step 7's shard directory under
+# that gate over INPUT; the second run serves step 6's shard directory under
 # a two-shard LRU budget, so both store shapes are gated. See docs/SERVE.md.
 SERVE_SOCK=build/CHECK_serve.sock
 serve_gate() {
@@ -259,17 +255,17 @@ serve_gate build/BENCH_checks.shards shards --max-open-shards 2
 # is deliberately conservative so slow CI boxes pass while a daemon that
 # serializes everything (or deadlocks) fails.
 ./build/bench/serve_bench --store=build/BENCH_checks.store --requests=100 \
-  --out=build/BENCH_serve_check.json > /dev/null
+  --manifest=build/BENCH_serve_check.json > /dev/null
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'PYEOF'
 import json
-doc = json.load(open("build/BENCH_serve_check.json"))
-assert doc["mismatches"] == 0, "daemon served wrong bytes under load"
-ladder = {r["clients"]: r for r in doc["ladder"]}
-qps16 = ladder[16]["qps"]
+numbers = json.load(open("build/BENCH_serve_check.json"))["numbers"]
+assert numbers["mismatches"] == 0, "daemon served wrong bytes under load"
+clients = [1, 4, 16, 64]
+qps16 = numbers["qps_16"]
 print("serve QPS ladder: " + ", ".join(
-    "%d clients -> %.0f qps (p99 %.0f us)" % (c, r["qps"], r["p99_us"])
-    for c, r in sorted(ladder.items())))
+    "%d clients -> %.0f qps (p99 %.0f us)"
+    % (c, numbers["qps_%d" % c], numbers["p99_us_%d" % c]) for c in clients))
 assert qps16 >= 100.0, "16-client QPS %.0f below the 100 qps floor" % qps16
 PYEOF
 else
@@ -277,7 +273,7 @@ else
   echo "python3 unavailable; QPS floor grep-checked for identity only"
 fi
 
-echo "== [10/12] clang-tidy =="
+echo "== [9/11] clang-tidy =="
 if command -v clang-tidy > /dev/null 2>&1; then
   cmake --preset default -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   # Lint the library sources; headers are pulled in via HeaderFilterRegex.
@@ -287,7 +283,7 @@ else
   echo "clang-tidy not installed; skipping (config: .clang-tidy)"
 fi
 
-echo "== [11/12] replication: thread-invariance + analyze --replicates + early stop =="
+echo "== [10/11] replication: thread-invariance + analyze --replicates + early stop =="
 # The determinism contract on the Monte Carlo replicator: replicate seeds are
 # keyed substreams of the root seed, so the table and the report must not
 # depend on the thread count (docs/REPLICATION.md).
@@ -330,7 +326,7 @@ else
   echo "python3 unavailable; early-stop manifest grep-checked only"
 fi
 
-echo "== [12/12] repository benchmark smoke =="
+echo "== [11/11] repository benchmark smoke =="
 # Builds perfbench/ (the libraries from this tree plus its driver) on first
 # use into $CARGO_TARGET_DIR or .bench_build/, then runs every workload at a
 # tiny scale. Needs python3, which the benchmark itself requires.
