@@ -161,27 +161,15 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
     if (!err.ok()) return err;
   }
 
-  // Merge pass: re-open each shard (full validation) and accumulate the
-  // exposure table in the monolithic order, plus the summed meta counters.
+  // Merge pass: re-open each shard (full validation) and complete the
+  // MANIFEST: bases, fleet totals, summed meta counters and the exposure
+  // table in the monolithic disk order.
   store::ShardManifest manifest;
   manifest.seed = config.seed;
   manifest.scale = config.scale;
   manifest.horizon_seconds = config.horizon_seconds;
   manifest.shards = std::move(infos);
-  if (store::Error err =
-          store::merge_shard_tables(dir, &manifest.shards, config.horizon_seconds,
-                                    &manifest.exposure, &manifest.meta);
-      !err.ok()) {
-    return err;
-  }
-  for (const auto& info : manifest.shards) {
-    manifest.systems += info.systems;
-    manifest.shelves += info.shelves;
-    manifest.disks_initial += info.disks_initial;
-    manifest.disks_total += info.disks_total;
-    manifest.raid_groups += info.raid_groups;
-    manifest.events += info.events;
-  }
+  if (store::Error err = store::merge_shard_tables(dir, &manifest); !err.ok()) return err;
   manifest.peak_rss_bytes = util::peak_rss_bytes();
   STORSIM_OBS_COUNTER(c_rss, "store.sharded_build.peak_rss_bytes",
                       ::storsubsim::obs::Stability::kSchedulingDependent);

@@ -1,6 +1,5 @@
 #include "log/snapshot.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <istream>
@@ -79,9 +78,7 @@ class TokenReader {
 }  // namespace
 
 double Inventory::disk_exposure_years(const InventoryDisk& disk) const {
-  const double start = std::max(0.0, disk.install_time);
-  const double end = std::min(horizon_seconds, disk.remove_time);
-  return end > start ? model::years(end - start) : 0.0;
+  return model::exposure_years(disk.install_time, disk.remove_time, horizon_seconds);
 }
 
 void write_snapshot(LineWriter& out, const model::Fleet& fleet) {

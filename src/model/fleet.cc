@@ -287,9 +287,7 @@ DiskId Fleet::replace_disk(DiskId failed, double remove_time, double install_tim
 }
 
 double Fleet::disk_exposure_years(const DiskRecord& disk) const {
-  const double start = std::max(0.0, disk.install_time);
-  const double end = std::min(config_.horizon_seconds, disk.remove_time);
-  return end > start ? years(end - start) : 0.0;
+  return exposure_years(disk.install_time, disk.remove_time, config_.horizon_seconds);
 }
 
 double Fleet::total_disk_exposure_years() const {

@@ -23,4 +23,13 @@ inline constexpr double kScrubPeriodSeconds = kSecondsPerHour;
 inline constexpr double years(double seconds) { return seconds / kSecondsPerYear; }
 inline constexpr double from_years(double y) { return y * kSecondsPerYear; }
 
+/// Years a disk installed at `install` and removed at `remove` (seconds)
+/// spends inside the study window [0, horizon]: the one exposure clamp
+/// behind every disk-years denominator.
+inline constexpr double exposure_years(double install, double remove, double horizon) {
+  const double start = install > 0.0 ? install : 0.0;
+  const double end = remove < horizon ? remove : horizon;
+  return end > start ? years(end - start) : 0.0;
+}
+
 }  // namespace storsubsim::model

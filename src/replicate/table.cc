@@ -152,7 +152,6 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
   }
   summary.stop_reason = static_cast<StopReason>(stop_reason);
 
-  summary.stats.reserve(stat_count);
   for (std::uint32_t s = 0; s < stat_count; ++s) {
     StatSummary stat;
     std::uint16_t name_len = 0;

@@ -87,6 +87,23 @@ constexpr ColumnId kEventColumns[] = {
 
 }  // namespace
 
+void ExposureAccumulator::add_system(std::size_t cls, char family) {
+  ++table_.class_system_count[cls];
+  table_.family_disk_years.try_emplace(family, 0.0);
+  table_.class_family_disk_years.try_emplace({static_cast<std::uint8_t>(cls), family}, 0.0);
+}
+
+ExposureTable ExposureAccumulator::table() const {
+  ExposureTable out = table_;
+  for (auto& [family, years] : out.family_disk_years) {
+    years = family_years_[static_cast<unsigned char>(family)];
+  }
+  for (auto& [key, years] : out.class_family_disk_years) {
+    years = class_family_years_[key.first][static_cast<unsigned char>(key.second)];
+  }
+  return out;
+}
+
 Error EventStore::open(const std::string& path) {
   if (Error err = file_.open(path); !err.ok()) return err;
   data_ = file_.data();

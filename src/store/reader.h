@@ -25,6 +25,7 @@
 
 #include "log/snapshot.h"
 #include "model/enums.h"
+#include "model/time.h"
 #include "store/format.h"
 #include "store/mmap_file.h"
 #include "store/writer.h"
@@ -79,14 +80,53 @@ struct BlockEntry {
   double time_max = 0.0;
 };
 
-/// Pre-computed disk-year exposure aggregates (see writer.h for the FP
-/// contract that makes these bit-identical to Dataset sweeps).
+/// Pre-computed disk-year exposure aggregates (see ExposureAccumulator for
+/// the FP contract that makes these bit-identical to Dataset sweeps).
 struct ExposureTable {
   double total_disk_years = 0.0;
   std::array<double, kClassCount> class_disk_years{};
   std::array<std::uint64_t, kClassCount> class_system_count{};
   std::map<char, double> family_disk_years;
   std::map<std::pair<std::uint8_t, char>, double> class_family_disk_years;
+};
+
+/// Builds an ExposureTable in one pass: the one implementation behind the
+/// writer's footer and the shard MANIFEST. Register every system, then feed
+/// every disk row in disk id order. Each cohort (total, class, family,
+/// class x family) keeps its own running sum, so its FP additions follow
+/// Dataset::disk_exposure_years' id-order sweep over that cohort and AFRs
+/// from the table match the in-memory pipeline bit for bit. A cohort is
+/// selected by the *system's* class and disk family (Filter::disk_family).
+class ExposureAccumulator {
+ public:
+  explicit ExposureAccumulator(double horizon_seconds) noexcept
+      : horizon_seconds_(horizon_seconds) {}
+
+  /// One system of class index `cls` (< kClassCount) whose disks are of
+  /// `family`: counts it and makes its cohorts keys of the table.
+  void add_system(std::size_t cls, char family);
+
+  /// One disk row owned by a system of class index `cls` and `family`, which
+  /// add_system registered.
+  void add_disk(std::size_t cls, char family, double install, double remove) noexcept {
+    const double years = model::exposure_years(install, remove, horizon_seconds_);
+    const auto f = static_cast<unsigned char>(family);
+    table_.total_disk_years += years;
+    table_.class_disk_years[cls] += years;
+    family_years_[f] += years;
+    class_family_years_[cls][f] += years;
+  }
+
+  /// The table over everything added so far.
+  ExposureTable table() const;
+
+ private:
+  double horizon_seconds_;
+  ExposureTable table_;  ///< totals, class sums and counts, cohort keys
+  // Family sums indexed by the family byte, so the per-disk step has no
+  // map lookup; table() copies them into the registered keys.
+  std::array<double, 256> family_years_{};
+  std::array<std::array<double, 256>, kClassCount> class_family_years_{};
 };
 
 class EventStore {

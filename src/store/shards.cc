@@ -5,9 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "model/enums.h"
-#include "model/time.h"
 #include "obs/obs.h"
+#include "store/parts.h"
 
 namespace storsubsim::store {
 
@@ -233,6 +232,11 @@ std::string shard_path(const std::string& dir, const std::string& file) {
   if (!path.empty() && path.back() != '/') path.push_back('/');
   path.append(file);
   return path;
+}
+
+/// The fleet totals a MANIFEST states, in a comparable form.
+std::array<std::uint64_t, 6> fleet_totals(const ShardManifest& m) {
+  return {m.systems, m.shelves, m.raid_groups, m.disks_initial, m.disks_total, m.events};
 }
 
 }  // namespace
@@ -477,7 +481,6 @@ Error parse_manifest(std::string_view text, ShardManifest* out) {
   if (n_shards == 0) {
     return make_error(ErrorCode::kBadValue, "MANIFEST: zero shards");
   }
-  m.shards.reserve(n_shards);
   for (std::uint64_t i = 0; i < n_shards; ++i) {
     std::string_view rest;
     if (Error err = expect_line(cursor, "shard", &rest); !err.ok()) return err;
@@ -507,37 +510,36 @@ Error parse_manifest(std::string_view text, ShardManifest* out) {
     m.shards.push_back(std::move(s));
   }
 
-  // Derive bases and cross-check the totals.
-  std::uint64_t systems = 0;
-  std::uint64_t shelves = 0;
-  std::uint64_t raid_groups = 0;
-  std::uint64_t disks_initial = 0;
-  std::uint64_t replacements = 0;
-  std::uint64_t events = 0;
-  for (auto& s : m.shards) {
-    s.system_base = systems;
-    s.shelf_base = shelves;
-    s.raid_group_base = raid_groups;
-    s.disk_base = disks_initial;
-    s.replacement_base = replacements;
-    if (s.disks_total < s.disks_initial || s.sys_end < s.sys_begin ||
-        s.sys_end - s.sys_begin != s.systems || s.sys_begin != systems) {
-      return make_error(ErrorCode::kBadValue, "MANIFEST: inconsistent shard ranges");
-    }
-    systems += s.systems;
-    shelves += s.shelves;
-    raid_groups += s.raid_groups;
-    disks_initial += s.disks_initial;
-    replacements += s.disks_total - s.disks_initial;
-    events += s.events;
-  }
-  if (systems != m.systems || shelves != m.shelves || disks_initial != m.disks_initial ||
-      disks_initial + replacements != m.disks_total || raid_groups != m.raid_groups ||
-      events != m.events) {
+  const auto stated = fleet_totals(m);
+  if (Error err = derive_shard_bases(&m); !err.ok()) return err;
+  if (fleet_totals(m) != stated) {
     return make_error(ErrorCode::kBadValue, "MANIFEST: shard counts do not sum to totals");
   }
 
   *out = std::move(m);
+  return Error{};
+}
+
+Error derive_shard_bases(ShardManifest* manifest) {
+  ShardManifest& m = *manifest;
+  m.systems = m.shelves = m.raid_groups = m.disks_initial = m.disks_total = m.events = 0;
+  for (auto& s : m.shards) {
+    if (s.disks_total < s.disks_initial || s.sys_end < s.sys_begin ||
+        s.sys_end - s.sys_begin != s.systems || s.sys_begin != m.systems) {
+      return make_error(ErrorCode::kBadValue, "MANIFEST: inconsistent shard ranges");
+    }
+    s.system_base = m.systems;
+    s.shelf_base = m.shelves;
+    s.raid_group_base = m.raid_groups;
+    s.disk_base = m.disks_initial;
+    s.replacement_base = m.disks_total - m.disks_initial;
+    m.systems += s.systems;
+    m.shelves += s.shelves;
+    m.raid_groups += s.raid_groups;
+    m.disks_initial += s.disks_initial;
+    m.disks_total += s.disks_total;
+    m.events += s.events;
+  }
   return Error{};
 }
 
@@ -556,110 +558,72 @@ Error write_manifest_file(const std::string& dir, const ShardManifest& manifest)
   return Error{};
 }
 
-Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
-                         double horizon_seconds, ExposureTable* exposure,
-                         StoreMeta* meta) {
+Error merge_shard_tables(const std::string& dir, ShardManifest* manifest) {
   obs::Span span("store.merge_tables");
-
-  ExposureTable exp;
-  StoreMeta merged{};
-
-  /// Replacement rows deferred to the second pass so the accumulation order
-  /// matches the monolithic disk vector (all initial blocks, then all
-  /// replacement blocks, each in shard order).
-  struct Replacement {
-    double install;
-    double remove;
-    std::uint8_t cls;
-    char family;
-  };
-  std::vector<Replacement> replacements;
-
-  const auto exposure_years = [horizon_seconds](double install, double remove) {
-    const double start = install > 0.0 ? install : 0.0;
-    const double end = remove < horizon_seconds ? remove : horizon_seconds;
-    return end > start ? model::years(end - start) : 0.0;
-  };
-
-  for (auto& info : *shards) {
-    const std::string path = shard_path(dir, info.file);
-    EventStore store;
-    if (Error err = store.open(path); !err.ok()) return err;
-    if (Error err = probe_shard_file(path, &info.file_size, &info.header_crc); !err.ok()) {
+  for (auto& info : manifest->shards) {
+    if (Error err = probe_shard_file(shard_path(dir, info.file), &info.file_size,
+                                     &info.header_crc);
+        !err.ok()) {
       return err;
     }
-    sum_meta(merged, store.meta());
+  }
+  if (Error err = derive_shard_bases(manifest); !err.ok()) return err;
+  ShardStore shards;
+  if (Error err = shards.open(dir, *manifest); !err.ok()) return err;
 
-    const auto sys_class = store.topology(ColumnId::kSysClass)->as_u8();
-    const auto sys_family = store.topology(ColumnId::kSysDiskFamily)->as_u8();
-    const auto disk_system = store.topology(ColumnId::kDiskSystem)->as_u32();
-    const auto disk_install = store.topology(ColumnId::kDiskInstall)->as_f64();
-    const auto disk_remove = store.topology(ColumnId::kDiskRemove)->as_f64();
-
-    // Cohort keys come from systems, exactly as the monolithic writer's
-    // family maps do; += on disks below would miss no key (every system
-    // owns at least one disk) but try_emplace keeps the contract explicit.
-    for (std::size_t i = 0; i < sys_class.size(); ++i) {
-      const auto cls = static_cast<std::size_t>(
-          model::index_of(static_cast<model::SystemClass>(sys_class[i])));
-      const char family = static_cast<char>(sys_family[i]);
-      ++exp.class_system_count[cls];
-      exp.family_disk_years.try_emplace(family, 0.0);
-      exp.class_family_disk_years.try_emplace(
-          {static_cast<std::uint8_t>(cls), family}, 0.0);
-    }
-
-    if (info.disks_initial > disk_system.size()) {
-      return make_error(ErrorCode::kBadValue,
-                        std::string("initial disk count exceeds shard rows in ")
-                            .append(info.file));
-    }
-    for (std::size_t i = 0; i < disk_system.size(); ++i) {
-      const std::uint32_t sys = disk_system[i];
-      const auto cls = static_cast<std::size_t>(
-          model::index_of(static_cast<model::SystemClass>(sys_class[sys])));
-      const char family = static_cast<char>(sys_family[sys]);
-      if (i >= info.disks_initial) {
-        replacements.push_back(Replacement{disk_install[i], disk_remove[i],
-                                           static_cast<std::uint8_t>(cls), family});
-        continue;
+  const StoreParts parts(shards);
+  ExposureAccumulator exposure(manifest->horizon_seconds);
+  StoreMeta meta{};
+  Error err;
+  parts.for_each_disk_run([&](std::size_t i, std::size_t begin, std::size_t end) {
+    if (!err.ok()) return;
+    if (err = parts.ensure_open(i); !err.ok()) return;
+    const EventStore& part = parts.part(i);
+    const auto sys_class = part.topology(ColumnId::kSysClass)->as_u8();
+    const auto sys_family = part.topology(ColumnId::kSysDiskFamily)->as_u8();
+    // The part's initial run (begin 0) counts its systems and meta: every
+    // chunk the build writes owns a system, and every system a disk.
+    if (begin == 0) {
+      sum_meta(meta, part.meta());
+      for (std::size_t s = 0; s < sys_class.size(); ++s) {
+        exposure.add_system(sys_class[s], static_cast<char>(sys_family[s]));
       }
-      const double years = exposure_years(disk_install[i], disk_remove[i]);
-      exp.total_disk_years += years;
-      exp.class_disk_years[cls] += years;
-      exp.family_disk_years[family] += years;
-      exp.class_family_disk_years[{static_cast<std::uint8_t>(cls), family}] += years;
     }
-  }
+    const auto disk_system = part.topology(ColumnId::kDiskSystem)->as_u32();
+    const auto install = part.topology(ColumnId::kDiskInstall)->as_f64();
+    const auto remove = part.topology(ColumnId::kDiskRemove)->as_f64();
+    for (std::size_t d = begin; d < end; ++d) {
+      const std::uint32_t sys = disk_system[d];
+      exposure.add_disk(sys_class[sys], static_cast<char>(sys_family[sys]), install[d],
+                        remove[d]);
+    }
+    parts.release(i);
+  });
+  if (!err.ok()) return err;
 
-  for (const auto& r : replacements) {
-    const double years = exposure_years(r.install, r.remove);
-    exp.total_disk_years += years;
-    exp.class_disk_years[r.cls] += years;
-    exp.family_disk_years[r.family] += years;
-    exp.class_family_disk_years[{r.cls, r.family}] += years;
-  }
-
-  *exposure = std::move(exp);
-  *meta = merged;
+  manifest->exposure = exposure.table();
+  manifest->meta = meta;
   return Error{};
 }
 
 Error ShardStore::open(const std::string& dir) {
   obs::Span span("store.shards.open");
-  dir_ = dir;
   std::string text;
   if (Error err = read_file(shard_path(dir, std::string(kManifestFileName)), &text);
       !err.ok()) {
     return err;
   }
-  if (Error err = parse_manifest(text, &manifest_); !err.ok()) return err;
+  ShardManifest manifest;
+  if (Error err = parse_manifest(text, &manifest); !err.ok()) return err;
+  return open(dir, std::move(manifest));
+}
 
+Error ShardStore::open(const std::string& dir, ShardManifest manifest) {
   // Cheap cross-check of every shard file: it must exist, have the recorded
   // size, and its header must both CRC-match the manifest entry and agree
   // with the entry's counts. Full column validation is deferred to
   // ensure_open.
-  for (const auto& info : manifest_.shards) {
+  for (const auto& info : manifest.shards) {
     const std::string path = shard_path(dir, info.file);
     std::uint64_t size = 0;
     std::uint32_t header_crc = 0;
@@ -682,12 +646,14 @@ Error ShardStore::open(const std::string& dir) {
     if (header.system_count != info.systems || header.shelf_count != info.shelves ||
         header.disk_count != info.disks_total ||
         header.raid_group_count != info.raid_groups ||
-        header.event_count != info.events || header.seed != manifest_.seed) {
+        header.event_count != info.events || header.seed != manifest.seed) {
       return make_error(ErrorCode::kBadValue,
                         std::string("shard header disagrees with MANIFEST: ").append(path));
     }
   }
 
+  dir_ = dir;
+  manifest_ = std::move(manifest);
   shards_.clear();
   shards_.resize(manifest_.shards.size());
   return Error{};

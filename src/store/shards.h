@@ -31,7 +31,7 @@ inline constexpr std::string_view kManifestFileName = "MANIFEST";
 inline constexpr std::uint32_t kManifestVersion = 1;
 
 /// One shard's MANIFEST entry. The count fields are written to disk; the
-/// base fields are derived prefix sums, filled in by parse_manifest.
+/// base fields are derived prefix sums, filled in by derive_shard_bases.
 struct ShardInfo {
   std::string file;  ///< file name relative to the shard directory
   std::uint64_t file_size = 0;
@@ -76,24 +76,28 @@ struct ShardManifest {
 /// written as their u64 bit patterns in hex so the round trip is bit-exact.
 std::string render_manifest(const ShardManifest& manifest);
 
-/// Parses and CRC-checks a MANIFEST image, deriving the per-shard bases.
-/// Truncated, reordered or corrupted input yields a typed Error.
+/// Parses and CRC-checks a MANIFEST image, deriving the per-shard bases
+/// and checking that the shards sum to the stated fleet totals. Truncated,
+/// reordered or corrupted input yields a typed Error.
 [[nodiscard]] Error parse_manifest(std::string_view text, ShardManifest* out);
+
+/// Fills every shard's global id bases (prefix sums over the shards before
+/// it) and sets the manifest's fleet totals (systems ... events) to the
+/// shards' sums. Shard system ranges must tile the fleet in order.
+[[nodiscard]] Error derive_shard_bases(ShardManifest* manifest);
 
 /// Writes dir/MANIFEST (render_manifest + one-shot write).
 [[nodiscard]] Error write_manifest_file(const std::string& dir, const ShardManifest& manifest);
 
-/// Sequentially opens each shard (full STORCOL1 validation, one shard in
-/// memory at a time) and accumulates the merged exposure table and summed
-/// meta counters. The accumulation order is the monolithic disk order —
-/// every shard's initial block in shard order, then every shard's
-/// replacement block in shard order — with one accumulator per cohort, so
-/// each cohort's FP addition sequence equals the monolithic writer's
-/// per-cohort sweep and the merged table is bit-identical to a single-file
-/// store of the whole fleet. Fills each shard's file_size/header_crc too.
-[[nodiscard]] Error merge_shard_tables(const std::string& dir, std::vector<ShardInfo>* shards,
-                         double horizon_seconds, ExposureTable* exposure,
-                         StoreMeta* meta);
+/// Completes the MANIFEST of freshly written shards in `dir`: given the
+/// shard entries' counts and the run provenance (seed, scale, horizon), it
+/// fills each entry's file_size/header_crc, the bases and fleet totals
+/// (derive_shard_bases), the summed meta counters, and the merged exposure
+/// table. The table comes from one ExposureAccumulator fed in the disk order
+/// of StoreParts::for_each_disk_run, so it is bit-identical to the footer of
+/// a single-file store of the whole fleet. Each shard is fully validated and
+/// at most one is mapped at a time.
+[[nodiscard]] Error merge_shard_tables(const std::string& dir, ShardManifest* manifest);
 
 /// An opened shard directory. open() validates the MANIFEST and cheaply
 /// cross-checks every shard file (existence, size, header CRC and header
@@ -113,6 +117,9 @@ class ShardStore {
   /// Reads dir/MANIFEST and cross-checks the shard files. No shard is fully
   /// opened yet.
   [[nodiscard]] Error open(const std::string& dir);
+  /// The same over an in-memory manifest whose bases are derived (the
+  /// sharded build merges through this before the MANIFEST is written).
+  [[nodiscard]] Error open(const std::string& dir, ShardManifest manifest);
 
   /// Opens and fully validates every shard now (analysis paths that will
   /// touch all shards anyway).

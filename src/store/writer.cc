@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "obs/obs.h"
+#include "store/reader.h"
 #include "util/parallel.h"
 
 namespace storsubsim::store {
@@ -267,66 +267,32 @@ void append_meta(std::string& out, const StoreMeta& meta) {
   append_u64(out, meta.missing_disk_dropped);
 }
 
-/// Exposure table. Every aggregate is its own sweep over disks in id order —
-/// the same iteration (and therefore FP rounding) as
-/// Dataset::disk_exposure_years over the matching cohort.
+/// Exposure table: one pass over the systems and one over the disks in id
+/// order, through the shared accumulator.
 void append_exposure(std::string& out, const log::Inventory& inv) {
-  double total = 0.0;
-  for (const auto& d : inv.disks) total += inv.disk_exposure_years(d);
-  append_f64(out, total);
-
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    double years = 0.0;
-    for (const auto& d : inv.disks) {
-      if (model::index_of(inv.systems[d.system.value()].cls) == c) {
-        years += inv.disk_exposure_years(d);
-      }
-    }
-    append_f64(out, years);
-  }
-
-  for (std::size_t c = 0; c < kClassCount; ++c) {
-    std::uint64_t n = 0;
-    for (const auto& sys : inv.systems) {
-      if (model::index_of(sys.cls) == c) ++n;
-    }
-    append_u64(out, n);
-  }
-
-  // Family cohorts match Filter::disk_family: the *system's* disk family
-  // selects the cohort, and every disk of a selected system accrues.
-  std::map<char, bool> families;
-  std::map<std::pair<std::uint8_t, char>, bool> class_families;
+  ExposureAccumulator acc(inv.horizon_seconds);
   for (const auto& sys : inv.systems) {
-    families[sys.disk_model.family] = true;
-    class_families[{static_cast<std::uint8_t>(model::index_of(sys.cls)),
-                    sys.disk_model.family}] = true;
+    acc.add_system(model::index_of(sys.cls), sys.disk_model.family);
   }
+  for (const auto& d : inv.disks) {
+    const auto& sys = inv.systems[d.system.value()];
+    acc.add_disk(model::index_of(sys.cls), sys.disk_model.family, d.install_time,
+                 d.remove_time);
+  }
+  const ExposureTable table = acc.table();
 
-  append_u32(out, static_cast<std::uint32_t>(families.size()));
-  for (const auto& [family, _] : families) {
-    double years = 0.0;
-    for (const auto& d : inv.disks) {
-      if (inv.systems[d.system.value()].disk_model.family == family) {
-        years += inv.disk_exposure_years(d);
-      }
-    }
+  append_f64(out, table.total_disk_years);
+  for (const double years : table.class_disk_years) append_f64(out, years);
+  for (const std::uint64_t n : table.class_system_count) append_u64(out, n);
+  append_u32(out, static_cast<std::uint32_t>(table.family_disk_years.size()));
+  for (const auto& [family, years] : table.family_disk_years) {
     append_u8(out, static_cast<std::uint8_t>(family));
     append_f64(out, years);
   }
-
-  append_u32(out, static_cast<std::uint32_t>(class_families.size()));
-  for (const auto& [key, _] : class_families) {
-    const auto [cls, family] = key;
-    double years = 0.0;
-    for (const auto& d : inv.disks) {
-      const auto& sys = inv.systems[d.system.value()];
-      if (model::index_of(sys.cls) == cls && sys.disk_model.family == family) {
-        years += inv.disk_exposure_years(d);
-      }
-    }
-    append_u8(out, cls);
-    append_u8(out, static_cast<std::uint8_t>(family));
+  append_u32(out, static_cast<std::uint32_t>(table.class_family_disk_years.size()));
+  for (const auto& [key, years] : table.class_family_disk_years) {
+    append_u8(out, key.first);
+    append_u8(out, static_cast<std::uint8_t>(key.second));
     append_f64(out, years);
   }
 }

@@ -9,10 +9,11 @@
 // are concatenated in class order, so the fan-out never reaches the bytes.
 //
 // The footer additionally carries a pre-computed exposure table (total,
-// per-class, per-family, per-class-and-family disk-years). Each entry is
-// accumulated by its own sweep over disks in id order — the exact iteration
-// order Dataset::disk_exposure_years uses — so AFR tables computed from a
-// store reproduce the in-memory pipeline bit for bit, FP rounding included.
+// per-class, per-family, per-class-and-family disk-years), built in one pass
+// over the disks in id order by store::ExposureAccumulator (reader.h). Each
+// cohort keeps its own running sum in the iteration order
+// Dataset::disk_exposure_years uses, so AFR tables computed from a store
+// reproduce the in-memory pipeline bit for bit, FP rounding included.
 #pragma once
 
 #include <array>

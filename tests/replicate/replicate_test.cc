@@ -173,6 +173,21 @@ TEST(ReplicateTable, CorruptionComesBackAsTypedErrors) {
   EXPECT_EQ(crc_err.code, store::ErrorCode::kChecksum);
 }
 
+// The statistic count is untrusted even under a valid CRC: a table claiming
+// ~4 billion statistics must fail closed with a typed Error (the records
+// after the real ones do not parse), not size anything by the claim.
+TEST(ReplicateTable, HugeStatCountWithValidCrcIsTyped) {
+  const auto summary = run_at_threads(fast_options(), 2);
+  std::string bytes = replicate::encode_table(summary);
+  bytes.resize(bytes.size() - 4);  // drop the crc, patch, re-seal
+  // stat_count is the little-endian u32 after the magic (8) and version (4).
+  bytes.replace(12, 4, std::string("\xF0\xFF\xFF\xFF", 4));
+  store::append_u32(bytes, store::crc32(bytes.data(), bytes.size()));
+
+  replicate::ReplicateSummary out;
+  EXPECT_FALSE(replicate::decode_table(bytes, &out).ok());
+}
+
 TEST(ReplicateRender, CarriesProvenanceAndStops) {
   const auto summary = run_at_threads(fast_options(), 1);
   const std::string table = replicate::render_summary(summary, false);

@@ -617,6 +617,29 @@ TEST_F(ShardCorruption, ManifestByteFlipsAreRejectedOrHarmless) {
   EXPECT_GT(rejected, manifest_text_->size() / 2);
 }
 
+// A MANIFEST whose CRC is valid but whose shard count is absurd must come
+// back as a typed Error: the count is untrusted, so nothing may be sized by
+// it before the shard lines are read.
+TEST_F(ShardCorruption, HugeShardCountWithValidCrcIsTyped) {
+  std::string body = manifest_text_->substr(0, manifest_text_->rfind("crc 0x"));
+  const std::string count_line = "\nshards 2\n";
+  const std::size_t at = body.find(count_line);
+  ASSERT_NE(at, std::string::npos);
+  body.replace(at, count_line.size(), "\nshards 1099511627776\n");
+  char crc_line[32];
+  std::snprintf(crc_line, sizeof crc_line, "crc 0x%016x\n",
+                static_cast<unsigned>(store::crc32(body.data(), body.size())));
+  const std::string sealed = body + crc_line;
+
+  store::ShardManifest parsed;
+  const auto err = store::parse_manifest(sealed, &parsed);
+  EXPECT_EQ(err.code, store::ErrorCode::kTruncated) << err.describe();
+
+  write_file(*manifest_path_, sealed);
+  store::StoreOwner owner;
+  EXPECT_FALSE(owner.open(*dir_).ok());
+}
+
 TEST_F(ShardCorruption, ReorderedManifestLinesAreTyped) {
   const std::size_t first_nl = manifest_text_->find('\n');
   ASSERT_NE(first_nl, std::string::npos);

@@ -373,3 +373,23 @@ TEST(StoreGolden, ImageBytesArePinned) {
   EXPECT_EQ(image.size(), kGoldenImageSize);
   EXPECT_EQ(image_crc, kGoldenImageCrc);
 }
+
+// The paper-scale store (scale 1.0, seed 20080226) that `storsubsim store
+// build --scale 1.0` writes, pinned by byte count and CRC-32 (zlib.crc32 of
+// the file gives the same value). The small golden above cannot see the
+// footer's floating-point addition order; at 1.8M disks any change to the
+// order in which a cohort's disk-years are summed changes these bytes.
+TEST(StoreGolden, FullScaleImageDigest) {
+  const auto run =
+      core::simulate_and_analyze(model::standard_fleet_config(1.0, 20080226));
+  store::StoreContents contents;
+  contents.inventory = &run.dataset.inventory();
+  contents.events = run.dataset.events();
+  contents.meta = core::make_store_meta(run.counters, run.pipeline);
+  contents.seed = 20080226;
+  contents.scale = 1.0;
+  std::string image;
+  ASSERT_TRUE(store::build_store_image(contents, &image).ok());
+  EXPECT_EQ(image.size(), 75'292'794u);
+  EXPECT_EQ(store::crc32(image.data(), image.size()), 0x0eef4b96u);
+}

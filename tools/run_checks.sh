@@ -4,12 +4,13 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (608 cases: unit/integration tests, the storsim_lint fixture
+#   2. ctest (611 cases: unit/integration tests, the storsim_lint fixture
 #      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
 #      cases).
 #      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
 #      and snapshot bytes and checks that classification recovers the
-#      simulated failures one by one
+#      simulated failures one by one; StoreGolden.FullScaleImageDigest pins
+#      the full-scale store image
 #   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
 #      gate, but run standalone so its report is printed even when ctest is
 #      filtered down with extra args); also emits build/lint-report.json,
@@ -26,8 +27,11 @@
 #      numbers are the cross-machine reference)
 #   6. sharded store gate (docs/STORE.md): a full-scale `store build
 #      --max-rss-mb 256` must fit the budget the monolithic writer exceeds
-#      (~630 MiB on this fleet), and `analyze --input <shard-dir>` must print
-#      byte-identical reports to the single-file store from step 4
+#      (~630 MiB on this fleet), and `analyze --input <shard-dir>` (afr,
+#      burstiness, correlation, lifetime) and `store query` grouped by family
+#      and, per family, by class must print byte-identical output to the
+#      single-file store from step 4, which gates every entry of the merged
+#      exposure table
 #   7. decode-kernel identity gate (docs/STORE.md): a second build configured
 #      with -DSTORSUBSIM_SIMD=OFF (scalar-only decode kernels) must produce
 #      byte-identical full-scale analyze reports to the default SIMD build —
@@ -151,14 +155,32 @@ echo "== [6/11] sharded store: bounded-memory build + merged-answer identity =="
   --scale 1.0 --max-rss-mb 256
 # The merged answers must be byte-identical to the single-file store from
 # step 4 (same seed/scale), across both the aggregate and dataset paths.
-for report in afr burstiness correlation; do
+for report in afr burstiness correlation lifetime; do
   ./build/tools/storsubsim analyze --input build/BENCH_checks.store \
     --report "$report" > "build/CHECK_shards_mono_$report.txt"
   ./build/tools/storsubsim analyze --input build/BENCH_checks.shards \
     --report "$report" > "build/CHECK_shards_dir_$report.txt"
   cmp "build/CHECK_shards_mono_$report.txt" "build/CHECK_shards_dir_$report.txt"
 done
-echo "sharded analyze byte-identical to the single-file store (afr, burstiness, correlation)"
+# Grouped queries read the merged family and class x family disk-years; one
+# query per family covers every class x family entry of the table.
+for query in "--group-by family" \
+  "--family A --group-by class" "--family B --group-by class" \
+  "--family C --group-by class" "--family D --group-by class" \
+  "--family E --group-by class" "--family F --group-by class" \
+  "--family G --group-by class" "--family H --group-by class" \
+  "--family I --group-by class" "--family J --group-by class" \
+  "--family K --group-by class"; do
+  # shellcheck disable=SC2086 # the flags split on purpose
+  ./build/tools/storsubsim store query --store build/BENCH_checks.store $query \
+    > build/CHECK_shards_mono_query.txt 2> /dev/null
+  # shellcheck disable=SC2086
+  ./build/tools/storsubsim store query --store build/BENCH_checks.shards $query \
+    > build/CHECK_shards_dir_query.txt 2> /dev/null
+  cmp build/CHECK_shards_mono_query.txt build/CHECK_shards_dir_query.txt
+done
+echo "sharded analyze and store query byte-identical to the single-file store" \
+  "(afr, burstiness, correlation, lifetime; family and class-by-family queries)"
 # RSS-budget gate: the sharded build must honour --max-rss-mb, and must use
 # far less memory than the monolithic path (recorded by step 4's bench).
 if command -v python3 > /dev/null 2>&1; then

@@ -46,6 +46,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -521,6 +522,27 @@ int cmd_predict(const Args& args) {
   return 0;
 }
 
+/// Writes the provenance manifest every `store build` leaves beside its
+/// output, so a store can always be traced back to the run that produced
+/// it. `numbers` follow in the order given. Returns the exit code.
+int write_build_manifest(const std::string& path, std::uint64_t seed, double scale,
+                         const std::string& out, const char* source,
+                         std::vector<std::pair<std::string, double>> numbers) {
+  obs::RunManifest manifest;
+  manifest.tool = "storsubsim store build";
+  manifest.seed = seed;
+  manifest.scale = scale;
+  manifest.threads = util::thread_count();
+  manifest.info.emplace_back("out", out);
+  manifest.info.emplace_back("source", source);
+  manifest.numbers = std::move(numbers);
+  if (!obs::write_manifest(path, manifest)) {
+    std::cerr << "cannot write manifest " << path << "\n";
+    return 1;
+  }
+  return 0;
+}
+
 /// `store build --shards N [--max-rss-mb M]`: the streaming sharded build.
 /// Simulates the fleet in bounded chunks and writes a shard directory whose
 /// analyses are byte-identical to the monolithic store (docs/STORE.md).
@@ -553,24 +575,12 @@ int cmd_store_build_sharded(const Args& args, const std::string& out) {
     std::cerr << "peak RSS " << result.peak_rss_bytes / (1024 * 1024) << " MiB\n";
   }
 
-  obs::RunManifest manifest;
-  manifest.tool = "storsubsim store build";
-  manifest.seed = seed;
-  manifest.scale = scale;
-  manifest.threads = util::thread_count();
-  manifest.info.emplace_back("out", out);
-  manifest.info.emplace_back("source", "simulate-sharded");
-  manifest.numbers.emplace_back("events", static_cast<double>(result.events));
-  manifest.numbers.emplace_back("disk_records", static_cast<double>(result.disk_records));
-  manifest.numbers.emplace_back("shards", static_cast<double>(result.shards));
-  manifest.numbers.emplace_back("peak_rss_bytes",
-                                static_cast<double>(result.peak_rss_bytes));
-  const std::string manifest_path = out + "/build.manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
-    std::cerr << "cannot write manifest " << manifest_path << "\n";
-    return 1;
-  }
-  return 0;
+  return write_build_manifest(out + "/build.manifest.json", seed, scale, out,
+                              "simulate-sharded",
+                              {{"events", static_cast<double>(result.events)},
+                               {"disk_records", static_cast<double>(result.disk_records)},
+                               {"shards", static_cast<double>(result.shards)},
+                               {"peak_rss_bytes", static_cast<double>(result.peak_rss_bytes)}});
 }
 
 int cmd_store_build(const Args& args) {
@@ -605,27 +615,11 @@ int cmd_store_build(const Args& args) {
   std::cerr << "wrote " << run->dataset.events().size() << "-event store ("
             << run->dataset.inventory().disks.size() << " disk records) to " << out << "\n";
 
-  // Every store build leaves a provenance manifest beside the artifact, so a
-  // store file can always be traced back to the run that produced it.
-  obs::RunManifest manifest;
-  manifest.tool = "storsubsim store build";
-  manifest.seed = seed;
-  manifest.scale = scale;
-  manifest.threads = util::thread_count();
-  manifest.info.emplace_back("out", out);
-  manifest.info.emplace_back("source", from_logs ? "logs" : "simulate");
-  manifest.numbers.emplace_back("events",
-                                static_cast<double>(run->dataset.events().size()));
-  manifest.numbers.emplace_back(
-      "disk_records", static_cast<double>(run->dataset.inventory().disks.size()));
-  manifest.numbers.emplace_back("peak_rss_bytes",
-                                static_cast<double>(util::peak_rss_bytes()));
-  const std::string manifest_path = out + ".manifest.json";
-  if (!obs::write_manifest(manifest_path, manifest)) {
-    std::cerr << "cannot write manifest " << manifest_path << "\n";
-    return 1;
-  }
-  return 0;
+  return write_build_manifest(
+      out + ".manifest.json", seed, scale, out, from_logs ? "logs" : "simulate",
+      {{"events", static_cast<double>(run->dataset.events().size())},
+       {"disk_records", static_cast<double>(run->dataset.inventory().disks.size())},
+       {"peak_rss_bytes", static_cast<double>(util::peak_rss_bytes())}});
 }
 
 /// The query flags as raw request params, shared by `store query` and
