@@ -107,11 +107,12 @@ int main(int argc, char** argv) {
       if (t == 1) {
         serial_seconds = best.seconds;
         const auto& st = stages[static_cast<std::size_t>(best.run)];
-        std::cout << "  serial stages: simulate " << st.simulate << " s, emit " << st.emit
-                  << " s, parse " << st.parse << " s, classify " << st.classify
-                  << " s, sort " << st.sort << " s\n";
+        std::cout << "  serial stages: simulate " << st.simulate << " s, snapshot "
+                  << st.snapshot << " s, emit " << st.emit << " s, parse " << st.parse
+                  << " s, classify " << st.classify << " s, sort " << st.sort << " s\n";
         for (const auto& [stage, seconds] :
-             {std::pair{"simulate", st.simulate}, std::pair{"emit", st.emit},
+             {std::pair{"simulate", st.simulate}, std::pair{"snapshot", st.snapshot},
+              std::pair{"emit", st.emit},
               std::pair{"parse", st.parse}, std::pair{"classify", st.classify},
               std::pair{"sort", st.sort}}) {
           numbers.emplace_back(label.str() + "serial_" + stage + "_seconds", seconds);

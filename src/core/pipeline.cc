@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "log/classifier.h"
 #include "log/line_writer.h"
 #include "log/parser.h"
+#include "log/snapshot.h"
 #include "obs/obs.h"
 #include "sim/log_bridge.h"
 #include "util/parallel.h"
@@ -19,6 +22,10 @@ namespace {
 /// Rough bytes-per-failure for pre-sizing a shard's log buffer: chains are
 /// 3-6 lines of ~60-190 characters (see log/emitter.cc tables).
 constexpr std::size_t kLogBytesPerFailure = 768;
+
+/// Bytes per snapshot line for pre-sizing a slice's buffer: DISK lines, the
+/// bulk of the text, run ~110 characters.
+constexpr std::size_t kSnapshotBytesPerLine = 128;
 
 /// One shard's emit -> parse -> classify round-trip. The emitter, parser and
 /// classifier are stateless across records except for the classifier's
@@ -67,6 +74,20 @@ ShardOutput roundtrip_shard(const model::Fleet& fleet,
   return out;
 }
 
+/// One slice's snapshot round trip: write lines [line_begin, line_end) of
+/// the fleet's snapshot text into a buffer of its own, then parse them back.
+/// The text dies here; the partial inventory is merged by the caller.
+log::SnapshotParseResult roundtrip_snapshot_slice(const model::Fleet& fleet,
+                                                  const log::SnapshotSlice& slice,
+                                                  double* seconds) {
+  obs::Span span("pipeline.snapshot");
+  log::LineWriter text((slice.line_end - slice.line_begin) * kSnapshotBytesPerLine);
+  log::write_snapshot_slice(text, fleet, slice);
+  log::SnapshotParseResult parsed = log::parse_snapshot_slice(text.view(), slice);
+  *seconds = span.stop();
+  return parsed;
+}
+
 void accumulate(PipelineStats& into, const PipelineStats& shard) {
   into.log_lines_written += shard.log_lines_written;
   into.log_lines_parsed += shard.log_lines_parsed;
@@ -85,32 +106,20 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
                          PipelineStats* stats) {
   PipelineStats local;
 
-  // The config snapshot is one global artifact; round-trip it serially
-  // through a string buffer.
-  log::LineWriter snapshot_text;
-  log::write_snapshot(snapshot_text, fleet);
-  auto snapshot = log::parse_snapshot(snapshot_text.view());
-  if (!snapshot.ok()) {
-    throw std::runtime_error(
-        std::string("pipeline: snapshot round-trip failed: ").append(snapshot.error));
-  }
-
+  // One pool task per worker. Task k round-trips line-range slice k of the
+  // config snapshot, then log shard k when there is one.
+  const std::size_t tasks = util::thread_count();
   const std::size_t n_systems = fleet.systems().size();
-  std::size_t shards = std::min<std::size_t>(util::thread_count(),
-                                             n_systems == 0 ? 1 : n_systems);
+  std::size_t shards = std::min<std::size_t>(tasks, n_systems == 0 ? 1 : n_systems);
   if (result.failures.size() < 2048) shards = 1;  // not worth the fan-out
   STORSIM_OBS_COUNTER(c_shards, "pipeline.shards",
                       ::storsubsim::obs::Stability::kSchedulingDependent);
   STORSIM_OBS_ADD(c_shards, shards);
 
-  std::vector<log::ClassifiedFailure> classified;
-  if (shards <= 1) {
-    ShardOutput out = roundtrip_shard(fleet, result.failures);
-    classified = std::move(out.failures);
-    local = out.stats;
-  } else {
-    // Partition failures by contiguous system ranges (shard s owns systems
-    // [s*n/S, (s+1)*n/S)), preserving detection order within each bucket.
+  // Partition failures by contiguous system ranges (shard s owns systems
+  // [s*n/S, (s+1)*n/S)), preserving detection order within each bucket.
+  std::vector<std::vector<sim::SimFailure>> buckets;
+  if (shards > 1) {
     std::vector<std::uint32_t> shard_of_system(n_systems);
     for (std::size_t s = 0; s < shards; ++s) {
       const std::size_t begin = n_systems * s / shards;
@@ -119,26 +128,48 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
         shard_of_system[sys] = static_cast<std::uint32_t>(s);
       }
     }
-    std::vector<std::vector<sim::SimFailure>> buckets(shards);
+    buckets.resize(shards);
     for (auto& b : buckets) b.reserve(result.failures.size() / shards + 1);
     for (const auto& f : result.failures) {
       buckets[shard_of_system[f.system.value()]].push_back(f);
     }
+  }
 
-    std::vector<ShardOutput> outputs(shards);
-    util::parallel_for(shards, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        outputs[s] = roundtrip_shard(fleet, buckets[s]);
+  const log::SnapshotLayout layout = log::SnapshotLayout::of(fleet);
+  std::vector<log::SnapshotSlice> slices(tasks);
+  for (std::size_t k = 0; k < tasks; ++k) slices[k] = layout.slice(k, tasks);
+  std::vector<log::SnapshotParseResult> snapshot_parts(tasks);
+  std::vector<double> snapshot_seconds(tasks, 0.0);
+  std::vector<ShardOutput> outputs(shards);
+  util::parallel_for(tasks, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      snapshot_parts[k] = roundtrip_snapshot_slice(fleet, slices[k], &snapshot_seconds[k]);
+      if (k < shards) {
+        outputs[k] = roundtrip_shard(
+            fleet, shards == 1 ? std::span<const sim::SimFailure>(result.failures) : buckets[k]);
       }
-    });
-
-    std::size_t total = 0;
-    for (const auto& out : outputs) total += out.failures.size();
-    classified.reserve(total);
-    for (auto& out : outputs) {
-      classified.insert(classified.end(), out.failures.begin(), out.failures.end());
-      accumulate(local, out.stats);
     }
+  });
+
+  obs::Span merge_span("pipeline.inventory_merge");
+  log::SnapshotParseResult snapshot = log::merge_snapshot_slices(slices, snapshot_parts);
+  merge_span.stop();
+  if (!snapshot.ok()) {
+    throw std::runtime_error(
+        std::string("pipeline: snapshot round-trip failed: ").append(snapshot.error));
+  }
+  for (const double seconds : snapshot_seconds) local.stage_seconds.snapshot += seconds;
+
+  std::size_t total = 0;
+  for (const auto& out : outputs) total += out.failures.size();
+  std::vector<log::ClassifiedFailure> classified = std::move(outputs[0].failures);
+  classified.reserve(total);
+  accumulate(local, outputs[0].stats);
+  for (std::size_t s = 1; s < shards; ++s) {
+    classified.insert(classified.end(), outputs[s].failures.begin(), outputs[s].failures.end());
+    accumulate(local, outputs[s].stats);
+  }
+  if (shards > 1) {
     // Restore the classifier's global output order (time, disk, type) so the
     // sharded pipeline is bit-identical to the serial one.
     obs::Span sort_span("pipeline.sort");

@@ -3,6 +3,13 @@
 // data flowed (AutoSupport logs in, analysis out) and exercises every
 // substrate, so the benches and examples default to it. The in-memory
 // fast path (no text round-trip) is available for interactive use.
+//
+// Both text round trips fan out over the shared pool in one parallel_for
+// of one task per worker: task k writes and parses line-range slice k of
+// the config snapshot (log/snapshot.h), then emits, parses and classifies
+// the failures of system-range shard k. The parsed slices are joined in
+// slice order and the shards' failures re-sorted into the classifier's
+// global order, so the dataset is bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +23,12 @@ namespace storsubsim::core {
 
 /// Wall time each pipeline stage spent, in seconds. Observability only —
 /// stage times are outputs, never inputs, so the dataset stays bit-identical
-/// regardless of timer behavior. In the sharded pipeline emit/parse/classify
-/// are summed across shards (CPU-seconds, not wall span).
+/// regardless of timer behavior. In the sharded pipeline snapshot and
+/// emit/parse/classify are summed across slices and shards (CPU-seconds,
+/// not wall span).
 struct StageSeconds {
   double simulate = 0.0;
+  double snapshot = 0.0;  ///< snapshot text write + parse, all slices
   double emit = 0.0;
   double parse = 0.0;
   double classify = 0.0;

@@ -12,10 +12,20 @@
 // `write_snapshot(LineWriter&, ...)` appends the section to a reusable
 // buffer and `parse_snapshot(std::string_view)` walks text in place; the
 // stream forms are thin adapters over them.
+//
+// The text has one line per record, in a fixed order, so it can be cut into
+// line-range slices that are written and parsed independently: slice k of K
+// covers lines [L*k/K, L*(k+1)/K), and the slices concatenated are the whole
+// text byte for byte. `write_snapshot_slice` and `parse_snapshot_slice` are
+// the two kernels; `merge_snapshot_slices` joins parsed slices in order and
+// checks referential integrity once over the result. The whole-text calls are
+// the one-slice case of the same kernels, and `parse_snapshot` stays the only
+// entry point for untrusted text.
 #pragma once
 
 #include <iosfwd>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,12 +50,16 @@ struct InventorySystem {
   model::ShelfModelName shelf_model;
   double deploy_time = 0.0;
   std::uint32_t cohort = 0;
+
+  friend bool operator==(const InventorySystem&, const InventorySystem&) = default;
 };
 
 struct InventoryShelf {
   model::ShelfId id;
   model::SystemId system;
   model::ShelfModelName model;
+
+  friend bool operator==(const InventoryShelf&, const InventoryShelf&) = default;
 };
 
 struct InventoryDisk {
@@ -57,6 +71,8 @@ struct InventoryDisk {
   std::uint32_t slot = 0;
   double install_time = 0.0;
   double remove_time = std::numeric_limits<double>::infinity();
+
+  friend bool operator==(const InventoryDisk&, const InventoryDisk&) = default;
 };
 
 struct InventoryRaidGroup {
@@ -65,6 +81,8 @@ struct InventoryRaidGroup {
   model::RaidType type = model::RaidType::kRaid4;
   std::uint32_t member_count = 0;
   std::uint32_t shelf_span = 0;
+
+  friend bool operator==(const InventoryRaidGroup&, const InventoryRaidGroup&) = default;
 };
 
 /// The complete joined inventory. Entries are indexed by their dense ids
@@ -80,8 +98,49 @@ struct Inventory {
   double disk_exposure_years(const InventoryDisk& disk) const;
 };
 
+/// Where one slice sits in the whole snapshot text. Line 0 is the SNAPSHOT
+/// header; then come one line per system, shelf, RAID group and disk, each
+/// kind in id order; the last line is END. The default value is the whole
+/// text of unknown length, which is how untrusted text is parsed.
+struct SnapshotSlice {
+  std::size_t line_begin = 0;  ///< first line of the slice, 0-based
+  std::size_t line_end = std::numeric_limits<std::size_t>::max();  ///< one past the last
+  /// Id of the first record of each kind at or after `line_begin`. The
+  /// parser requires each kind's ids to run densely from its base.
+  std::size_t system_base = 0;
+  std::size_t shelf_base = 0;
+  std::size_t raid_group_base = 0;
+  std::size_t disk_base = 0;
+  bool has_header = true;  ///< the slice holds line 0
+  bool has_end = true;     ///< the slice holds the END line
+};
+
+/// Record counts per kind: they fix the line layout of a fleet's snapshot.
+struct SnapshotLayout {
+  std::size_t systems = 0;
+  std::size_t shelves = 0;
+  std::size_t raid_groups = 0;
+  std::size_t disks = 0;
+
+  static SnapshotLayout of(const model::Fleet& fleet);
+
+  /// Lines in the whole text: the records plus the header and END lines.
+  std::size_t lines() const { return systems + shelves + raid_groups + disks + 2; }
+
+  /// Slice k of `count` (k < count): lines [lines()*k/count,
+  /// lines()*(k+1)/count), with the per-kind id bases derived from its first
+  /// line. Empty when count exceeds the line count and k falls between two
+  /// cut points.
+  SnapshotSlice slice(std::size_t k, std::size_t count) const;
+};
+
+/// Appends lines [slice.line_begin, slice.line_end) of the fleet's snapshot
+/// text. The fleet must have the layout the slice was cut from.
+void write_snapshot_slice(LineWriter& out, const model::Fleet& fleet,
+                          const SnapshotSlice& slice);
+
 /// Appends the fleet's full inventory (including retired disk records) to a
-/// text buffer. This is the implementation; the stream overload wraps it.
+/// text buffer: the one-slice case of write_snapshot_slice.
 void write_snapshot(LineWriter& out, const model::Fleet& fleet);
 
 /// Serializes the fleet's full inventory (including retired disk records).
@@ -91,13 +150,29 @@ void write_snapshot(std::ostream& out, const model::Fleet& fleet);
 struct SnapshotParseResult {
   Inventory inventory;
   std::string error;
-  std::size_t lines = 0;
+  std::size_t lines = 0;  ///< number of the last line read, counted over the whole text
 
   bool ok() const { return error.empty(); }
 };
 
+/// Parses one slice's text into a partial inventory whose vectors hold the
+/// slice's records only (entry i has id base + i). Line numbers in errors
+/// count from `slice.line_begin`. A slice without the header or END line
+/// rejects one; a slice with them requires it. No referential-integrity
+/// check: that needs every slice, and merge_snapshot_slices runs it.
+SnapshotParseResult parse_snapshot_slice(std::string_view text, const SnapshotSlice& slice);
+
+/// Joins parsed slices, given in slice order with the slices they were
+/// parsed from, into one inventory, then checks referential integrity over
+/// it. The records are moved out of `parsed`. Fails with the first failed
+/// slice's error, or when a slice's records do not continue where the
+/// previous slice's ended.
+SnapshotParseResult merge_snapshot_slices(std::span<const SnapshotSlice> slices,
+                                          std::span<SnapshotParseResult> parsed);
+
 /// Parses a snapshot section from an in-memory buffer (no stream, no
-/// per-line copies). The result owns everything; `text` may die after.
+/// per-line copies): the one-slice case of the kernels above. The result
+/// owns everything; `text` may die after.
 SnapshotParseResult parse_snapshot(std::string_view text);
 
 SnapshotParseResult parse_snapshot(std::istream& in);

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "obs/obs.h"
 #include "stats/distributions.h"
 #include "stats/rng.h"
 
@@ -153,6 +154,7 @@ void Fleet::finish_build() {
 
 Fleet Fleet::build(const FleetConfig& config, const DiskModelRegistry& disk_models,
                    const ShelfModelRegistry& shelf_models) {
+  obs::Span span("model.fleet_build");
   return build_chunk(config, disk_models, shelf_models, 0, config.total_systems());
 }
 

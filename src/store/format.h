@@ -120,27 +120,40 @@ struct Error {
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0) noexcept;
 
-// --- little-endian scalar append/read helpers -------------------------------
-// The writer builds the whole file image in one std::string; the reader
+// --- little-endian scalar store/append/read helpers -------------------------
+// The writer builds the whole file image in one std::string: `store_le`
+// writes a scalar in place (the topology columns are filled into a
+// pre-sized image), `append_*` grows the string by one scalar. The reader
 // memcpy's scalars out of the mapping (alignment-safe).
 
-inline void append_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+inline void store_le(char* p, std::uint8_t v) noexcept { *p = static_cast<char>(v); }
+inline void store_le(char* p, std::uint16_t v) noexcept {
+  store_le(p, static_cast<std::uint8_t>(v));
+  store_le(p + 1, static_cast<std::uint8_t>(v >> 8));
 }
-inline void append_u16(std::string& out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+inline void store_le(char* p, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
 }
-inline void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+inline void store_le(char* p, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
 }
-inline void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-}
-inline void append_f64(std::string& out, double v) {
+inline void store_le(char* p, double v) noexcept {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  append_u64(out, bits);
+  store_le(p, bits);
 }
+
+template <typename T>
+void append_le(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  store_le(bytes, v);
+  out.append(bytes, sizeof(T));
+}
+inline void append_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
+inline void append_u16(std::string& out, std::uint16_t v) { append_le(out, v); }
+inline void append_u32(std::string& out, std::uint32_t v) { append_le(out, v); }
+inline void append_u64(std::string& out, std::uint64_t v) { append_le(out, v); }
+inline void append_f64(std::string& out, double v) { append_le(out, v); }
 
 inline std::uint8_t read_u8(const char* p) noexcept {
   return static_cast<std::uint8_t>(*p);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -143,113 +144,144 @@ ShardEncoding encode_event_shard(const log::Inventory& inv, std::uint8_t shard,
   return out;
 }
 
-/// Appends one topology column: `value(i)` yields row i's value.
-template <typename AppendFn>
-void topology_column(std::string& image, ColumnId id, std::uint64_t rows,
-                     std::vector<ColumnRecord>& columns, const AppendFn& append_row) {
-  pad_to_alignment(image);
-  const std::size_t begin = image.size();
-  for (std::uint64_t i = 0; i < rows; ++i) append_row(image, i);
-  finish_column(image, begin, kTopologyShard, id, Encoding::kRaw, rows, columns);
+/// One raw topology column: `fill(column, begin, end)` writes rows
+/// [begin, end) into the column whose bytes start at `column`.
+struct TopologyColumn {
+  ColumnId id = ColumnId::kSysClass;
+  std::size_t width = 0;
+  std::function<void(char*, std::size_t, std::size_t)> fill;
+};
+
+/// The columns of one inventory table (systems, shelves, disks or RAID
+/// groups), one row per record.
+struct TopologyTable {
+  std::size_t rows = 0;
+  std::vector<TopologyColumn> columns;
+};
+
+/// The column holding `value(r)`, a fixed-width scalar, for every record r.
+template <typename Records, typename Value>
+TopologyColumn column(ColumnId id, const Records& records, Value value) {
+  using Scalar = decltype(value(records.front()));
+  return TopologyColumn{
+      id, sizeof(Scalar), [&records, value](char* col, std::size_t begin, std::size_t end) {
+        char* dst = col + begin * sizeof(Scalar);
+        for (std::size_t r = begin; r < end; ++r, dst += sizeof(Scalar)) {
+          store_le(dst, value(records[r]));
+        }
+      }};
 }
 
-void append_topology(std::string& image, const log::Inventory& inv,
-                     std::vector<ColumnRecord>& columns) {
-  const auto& systems = inv.systems;
-  const auto n_sys = static_cast<std::uint64_t>(systems.size());
-  topology_column(image, ColumnId::kSysClass, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].cls));
-                  });
-  topology_column(image, ColumnId::kSysPaths, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].paths));
-                  });
-  topology_column(image, ColumnId::kSysDiskFamily, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].disk_model.family));
-                  });
-  topology_column(image, ColumnId::kSysDiskCap, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, static_cast<std::uint32_t>(systems[i].disk_model.capacity_index));
-                  });
-  topology_column(image, ColumnId::kSysShelfModel, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(systems[i].shelf_model.letter));
-                  });
-  topology_column(image, ColumnId::kSysDeploy, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_f64(out, systems[i].deploy_time);
-                  });
-  topology_column(image, ColumnId::kSysCohort, n_sys, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, systems[i].cohort);
-                  });
-
+/// The four topology tables, their 21 columns in directory order.
+std::vector<TopologyTable> topology_tables(const log::Inventory& inv) {
+  using Sys = log::InventorySystem;
+  using Shelf = log::InventoryShelf;
+  using Disk = log::InventoryDisk;
+  using Group = log::InventoryRaidGroup;
+  const auto& sys = inv.systems;
   const auto& shelves = inv.shelves;
-  const auto n_shelf = static_cast<std::uint64_t>(shelves.size());
-  topology_column(image, ColumnId::kShelfSystem, n_shelf, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, shelves[i].system.value());
-                  });
-  topology_column(image, ColumnId::kShelfModel, n_shelf, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(shelves[i].model.letter));
-                  });
-
   const auto& disks = inv.disks;
-  const auto n_disk = static_cast<std::uint64_t>(disks.size());
-  topology_column(image, ColumnId::kDiskFamily, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(disks[i].model.family));
-                  });
-  topology_column(image, ColumnId::kDiskCap, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, static_cast<std::uint32_t>(disks[i].model.capacity_index));
-                  });
-  topology_column(image, ColumnId::kDiskSystem, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].system.value());
-                  });
-  topology_column(image, ColumnId::kDiskShelf, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].shelf.value());
-                  });
-  topology_column(image, ColumnId::kDiskRaidGroup, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].raid_group.value());
-                  });
-  topology_column(image, ColumnId::kDiskSlot, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, disks[i].slot);
-                  });
-  topology_column(image, ColumnId::kDiskInstall, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_f64(out, disks[i].install_time);
-                  });
-  topology_column(image, ColumnId::kDiskRemove, n_disk, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_f64(out, disks[i].remove_time);
-                  });
-
   const auto& groups = inv.raid_groups;
-  const auto n_rg = static_cast<std::uint64_t>(groups.size());
-  topology_column(image, ColumnId::kRgSystem, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, groups[i].system.value());
-                  });
-  topology_column(image, ColumnId::kRgType, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u8(out, static_cast<std::uint8_t>(groups[i].type));
-                  });
-  topology_column(image, ColumnId::kRgMembers, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, groups[i].member_count);
-                  });
-  topology_column(image, ColumnId::kRgSpan, n_rg, columns,
-                  [&](std::string& out, std::uint64_t i) {
-                    append_u32(out, groups[i].shelf_span);
-                  });
+  std::vector<TopologyTable> tables(4);
+  tables[0].rows = sys.size();
+  tables[0].columns = {
+      column(ColumnId::kSysClass, sys,
+             [](const Sys& s) { return static_cast<std::uint8_t>(s.cls); }),
+      column(ColumnId::kSysPaths, sys,
+             [](const Sys& s) { return static_cast<std::uint8_t>(s.paths); }),
+      column(ColumnId::kSysDiskFamily, sys,
+             [](const Sys& s) { return static_cast<std::uint8_t>(s.disk_model.family); }),
+      column(ColumnId::kSysDiskCap, sys,
+             [](const Sys& s) { return static_cast<std::uint32_t>(s.disk_model.capacity_index); }),
+      column(ColumnId::kSysShelfModel, sys,
+             [](const Sys& s) { return static_cast<std::uint8_t>(s.shelf_model.letter); }),
+      column(ColumnId::kSysDeploy, sys, [](const Sys& s) { return s.deploy_time; }),
+      column(ColumnId::kSysCohort, sys, [](const Sys& s) { return s.cohort; }),
+  };
+  tables[1].rows = shelves.size();
+  tables[1].columns = {
+      column(ColumnId::kShelfSystem, shelves, [](const Shelf& sh) { return sh.system.value(); }),
+      column(ColumnId::kShelfModel, shelves,
+             [](const Shelf& sh) { return static_cast<std::uint8_t>(sh.model.letter); }),
+  };
+  tables[2].rows = disks.size();
+  tables[2].columns = {
+      column(ColumnId::kDiskFamily, disks,
+             [](const Disk& d) { return static_cast<std::uint8_t>(d.model.family); }),
+      column(ColumnId::kDiskCap, disks,
+             [](const Disk& d) { return static_cast<std::uint32_t>(d.model.capacity_index); }),
+      column(ColumnId::kDiskSystem, disks, [](const Disk& d) { return d.system.value(); }),
+      column(ColumnId::kDiskShelf, disks, [](const Disk& d) { return d.shelf.value(); }),
+      column(ColumnId::kDiskRaidGroup, disks, [](const Disk& d) { return d.raid_group.value(); }),
+      column(ColumnId::kDiskSlot, disks, [](const Disk& d) { return d.slot; }),
+      column(ColumnId::kDiskInstall, disks, [](const Disk& d) { return d.install_time; }),
+      column(ColumnId::kDiskRemove, disks, [](const Disk& d) { return d.remove_time; }),
+  };
+  tables[3].rows = groups.size();
+  tables[3].columns = {
+      column(ColumnId::kRgSystem, groups, [](const Group& g) { return g.system.value(); }),
+      column(ColumnId::kRgType, groups,
+             [](const Group& g) { return static_cast<std::uint8_t>(g.type); }),
+      column(ColumnId::kRgMembers, groups, [](const Group& g) { return g.member_count; }),
+      column(ColumnId::kRgSpan, groups, [](const Group& g) { return g.shelf_span; }),
+  };
+  return tables;
+}
+
+/// Rows per fill block: a block's records stay in cache while every column
+/// of the table is written from them.
+constexpr std::size_t kFillBlockRows = 1024;
+
+/// Appends the topology columns. Every column's offset and size is fixed up
+/// front (alignment padding, then rows * width), and the image is resized
+/// once, with room for `bytes_after` more bytes. Then, on the pool, each
+/// table is filled in row ranges, every column of a row range at once, and
+/// each column's CRC is taken over its own byte range. Every byte has one
+/// writer at a fixed offset, so the scheduling never reaches the image.
+void append_topology(std::string& image, const log::Inventory& inv,
+                     std::vector<ColumnRecord>& columns, std::size_t bytes_after) {
+  obs::Span span("store.build_image.topology");
+  const std::vector<TopologyTable> tables = topology_tables(inv);
+  const std::size_t first = columns.size();
+  std::uint64_t image_end = image.size();
+  for (const auto& table : tables) {
+    for (const auto& col : table.columns) {
+      ColumnRecord rec;
+      rec.shard = kTopologyShard;
+      rec.id = col.id;
+      rec.rows = table.rows;
+      rec.offset = (image_end + kColumnAlignment - 1) / kColumnAlignment * kColumnAlignment;
+      rec.size = table.rows * col.width;
+      image_end = rec.offset + rec.size;
+      columns.push_back(rec);
+    }
+  }
+  image.reserve(image_end + bytes_after);
+  image.resize(image_end);  // zero-fills the padding
+
+  std::size_t table_first = first;
+  for (const auto& table : tables) {
+    util::parallel_for(table.rows, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t lo = begin; lo < end; lo += kFillBlockRows) {
+        const std::size_t hi = std::min(end, lo + kFillBlockRows);
+        for (std::size_t c = 0; c < table.columns.size(); ++c) {
+          table.columns[c].fill(image.data() + columns[table_first + c].offset, lo, hi);
+        }
+      }
+    });
+    table_first += table.columns.size();
+  }
+
+  // Columns are dealt to the workers round-robin, which spreads the wide
+  // disk columns, adjacent in directory order, across all of them.
+  const std::size_t workers = std::min<std::size_t>(util::thread_count(), columns.size() - first);
+  util::parallel_for(workers, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t w = begin; w < end; ++w) {
+      for (std::size_t c = first + w; c < columns.size(); c += workers) {
+        columns[c].crc = crc32(image.data() + columns[c].offset, columns[c].size);
+      }
+    }
+  });
 }
 
 void append_meta(std::string& out, const StoreMeta& meta) {
@@ -372,8 +404,16 @@ Error build_store_image(const StoreContents& contents, std::string* image) {
   std::string out;
   out.append(kHeaderSize, '\0');  // patched last
 
+  // Room for everything after the topology: the class shards with their
+  // alignment padding, and the footer (meta, exposure table, directory and
+  // block index) with margin.
+  std::size_t bytes_after = 64 * 1024;
+  for (const auto& shard : shards) {
+    bytes_after += shard.bytes.size() + kColumnAlignment +
+                   64 * (shard.columns.size() + shard.blocks.size());
+  }
   std::vector<ColumnRecord> columns;
-  append_topology(out, inv, columns);
+  append_topology(out, inv, columns, bytes_after);
 
   std::vector<BlockRecord> blocks;
   for (std::size_t s = 0; s < kClassCount; ++s) {

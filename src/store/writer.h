@@ -8,6 +8,12 @@
 // through util::parallel_for — workers write disjoint per-shard buffers that
 // are concatenated in class order, so the fan-out never reaches the bytes.
 //
+// The 21 topology columns are fixed-width, so their offsets and sizes are
+// known before any byte is written: the image is resized once, then the
+// pool fills each inventory table in row ranges (every column of a range at
+// once, reading each record from memory once) and checksums each column,
+// every byte written by one worker at a fixed offset.
+//
 // The footer additionally carries a pre-computed exposure table (total,
 // per-class, per-family, per-class-and-family disk-years), built in one pass
 // over the disks in id order by store::ExposureAccumulator (reader.h). Each

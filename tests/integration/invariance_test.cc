@@ -106,40 +106,72 @@ TEST_P(DualPathFraction, MoreDualPathsLowerInterconnectAfr) {
 INSTANTIATE_TEST_SUITE_P(Fractions, DualPathFraction, ::testing::Values(0.3, 0.6));
 
 // The fleet-parallel execution layer's contract: the full pipeline
-// (simulate -> emit logs -> parse -> classify) and bootstrap CIs are
-// bit-identical for any worker count. Exercised at two scales; the larger
-// one is big enough to engage the sharded log pipeline.
+// (simulate -> snapshot and log round trips -> classify) and bootstrap CIs
+// are bit-identical for any worker count. Exercised at two scales; the
+// larger one is big enough to engage the sharded log pipeline. The uneven
+// thread counts cut the snapshot text into uneven line-range slices.
 class ThreadInvariance : public ::testing::TestWithParam<double> {
  protected:
   void TearDown() override { storsubsim::util::set_thread_count(0); }
 };
 
+namespace {
+
+constexpr unsigned kThreadCounts[] = {1, 3, 4, 7};
+
+/// Reports the first inventory record that differs, kind by kind.
+template <typename Record>
+void expect_same_records(const std::vector<Record>& got, const std::vector<Record>& want,
+                         const char* kind, unsigned threads) {
+  ASSERT_EQ(got.size(), want.size()) << kind << " at " << threads << " threads";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i] == want[i]) << kind << " " << i << " at " << threads << " threads";
+  }
+}
+
+}  // namespace
+
 TEST_P(ThreadInvariance, PipelineBitIdenticalAcrossThreadCounts) {
   const auto config = model::standard_fleet_config(GetParam(), 11);
   storsubsim::util::set_thread_count(1);
   const auto serial = core::simulate_and_analyze(config);
-  storsubsim::util::set_thread_count(4);
-  const auto parallel = core::simulate_and_analyze(config);
 
-  ASSERT_EQ(serial.dataset.events().size(), parallel.dataset.events().size());
-  for (std::size_t i = 0; i < serial.dataset.events().size(); ++i) {
-    EXPECT_EQ(serial.dataset.events()[i], parallel.dataset.events()[i]) << "event " << i;
+  for (const unsigned threads : kThreadCounts) {
+    storsubsim::util::set_thread_count(threads);
+    const auto parallel = core::simulate_and_analyze(config);
+
+    ASSERT_EQ(serial.dataset.events().size(), parallel.dataset.events().size()) << threads;
+    for (std::size_t i = 0; i < serial.dataset.events().size(); ++i) {
+      ASSERT_EQ(serial.dataset.events()[i], parallel.dataset.events()[i])
+          << "event " << i << " at " << threads << " threads";
+    }
+    const auto& want = serial.dataset.inventory();
+    const auto& got = parallel.dataset.inventory();
+    EXPECT_EQ(got.horizon_seconds, want.horizon_seconds) << threads;
+    expect_same_records(got.systems, want.systems, "system", threads);
+    expect_same_records(got.shelves, want.shelves, "shelf", threads);
+    expect_same_records(got.raid_groups, want.raid_groups, "raid group", threads);
+    expect_same_records(got.disks, want.disks, "disk", threads);
+
+    EXPECT_EQ(serial.counters.events_by_type, parallel.counters.events_by_type) << threads;
+    EXPECT_EQ(serial.counters.replacements, parallel.counters.replacements) << threads;
+    const auto& a = serial.pipeline;
+    const auto& b = parallel.pipeline;
+    EXPECT_EQ(a.log_lines_written, b.log_lines_written) << threads;
+    EXPECT_EQ(a.log_lines_parsed, b.log_lines_parsed) << threads;
+    EXPECT_EQ(a.raid_records, b.raid_records) << threads;
+    EXPECT_EQ(a.failures_classified, b.failures_classified) << threads;
+    EXPECT_EQ(a.duplicates_dropped, b.duplicates_dropped) << threads;
+    EXPECT_EQ(a.missing_disk_dropped, b.missing_disk_dropped) << threads;
   }
-  EXPECT_EQ(serial.counters.events_by_type, parallel.counters.events_by_type);
-  EXPECT_EQ(serial.counters.replacements, parallel.counters.replacements);
-  EXPECT_EQ(serial.pipeline.log_lines_written, parallel.pipeline.log_lines_written);
-  EXPECT_EQ(serial.pipeline.log_lines_parsed, parallel.pipeline.log_lines_parsed);
-  EXPECT_EQ(serial.pipeline.raid_records, parallel.pipeline.raid_records);
-  EXPECT_EQ(serial.pipeline.failures_classified, parallel.pipeline.failures_classified);
 }
 
 TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {
   // The columnar store extends the determinism contract to the serialized
   // artifact: the same run must produce byte-identical store files no matter
-  // how many workers encode the class shards (docs/STORE.md).
+  // how many workers fill the topology columns and encode the class shards
+  // (docs/STORE.md).
   const auto config = model::standard_fleet_config(GetParam(), 11);
-  storsubsim::util::set_thread_count(1);
-  const auto serial = core::simulate_and_analyze(config);
   auto image_of = [](const core::SimulationDataset& run) {
     storsubsim::store::StoreContents contents;
     contents.inventory = &run.dataset.inventory();
@@ -151,14 +183,15 @@ TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(storsubsim::store::build_store_image(contents, &image).ok());
     return image;
   };
-  const std::string serial_image = image_of(serial);
+  storsubsim::util::set_thread_count(1);
+  const std::string serial_image = image_of(core::simulate_and_analyze(config));
 
-  storsubsim::util::set_thread_count(4);
-  const auto parallel = core::simulate_and_analyze(config);
-  const std::string parallel_image = image_of(parallel);
-
-  ASSERT_EQ(serial_image.size(), parallel_image.size());
-  EXPECT_EQ(serial_image, parallel_image);
+  for (const unsigned threads : kThreadCounts) {
+    storsubsim::util::set_thread_count(threads);
+    const std::string parallel_image = image_of(core::simulate_and_analyze(config));
+    ASSERT_EQ(serial_image.size(), parallel_image.size()) << threads;
+    EXPECT_EQ(serial_image, parallel_image) << threads;
+  }
 }
 
 TEST_P(ThreadInvariance, BootstrapCiBitIdenticalAcrossThreadCounts) {

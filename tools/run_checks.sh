@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (611 cases: unit/integration tests, the storsim_lint fixture
+#   2. ctest (617 cases: unit/integration tests, the storsim_lint fixture
 #      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
 #      cases).
 #      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
@@ -17,8 +17,10 @@
 #      the --format=json report CI consumes
 #   4. store round-trip at full scale: store_bench simulates the paper-scale
 #      fleet, serializes it, and asserts the mmap+query rerun reproduces the
-#      AFR breakdown bit for bit (docs/STORE.md); plus a corruption smoke —
-#      a truncated and a bit-flipped store must be rejected by the CLI
+#      AFR breakdown bit for bit (docs/STORE.md); `store build --threads 1`
+#      and `--threads 3` (uneven snapshot slices, parallel topology fill)
+#      must write the same bytes; plus a corruption smoke — a truncated and
+#      a bit-flipped store must be rejected by the CLI
 #   5. observability gate (docs/OBSERVABILITY.md): a full-scale analyze with
 #      --metrics --trace --manifest must print byte-identical stdout to the
 #      plain run, the manifest and trace must be valid JSON, and turning the
@@ -77,6 +79,14 @@ echo "machine-readable report: build/lint-report.json"
 echo "== [4/11] store round-trip (full scale) + corruption smoke =="
 ./build/bench/store_bench --scale=1.0 --repeat=1 \
   --store=build/BENCH_checks.store --manifest=build/BENCH_store_checks.json
+# Thread-count identity at paper scale: a serial build and a three-worker
+# build (uneven snapshot slices and topology fill) write the same file.
+for threads in 1 3; do
+  ./build/tools/storsubsim store build --out "build/BENCH_checks_t$threads.store" \
+    --scale 1.0 --seed 20080226 --threads "$threads" 2> /dev/null
+  cmp build/BENCH_checks.store "build/BENCH_checks_t$threads.store"
+done
+echo "full-scale store byte-identical at --threads 1 and 3"
 # Corrupt stores must be rejected, never crash: truncate one copy, flip a
 # byte in another.
 head -c 1000 build/BENCH_checks.store > build/BENCH_checks_truncated.store
