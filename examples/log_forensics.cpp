@@ -13,12 +13,15 @@
 // the ledger section reads the archived failures from the store instead of
 // replaying synthetic logs — the same forensics over a whole recorded fleet.
 #include <iostream>
-#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/report.h"
 #include "core/store_bridge.h"
 #include "log/classifier.h"
 #include "log/emitter.h"
+#include "log/line_writer.h"
 #include "log/parser.h"
 #include "model/enums.h"
 #include "model/fleet.h"
@@ -28,15 +31,13 @@ using namespace storsubsim;
 
 namespace {
 
-log::EmittableFailure make_failure(double t, model::FailureType type, std::uint32_t disk) {
-  log::EmittableFailure f;
-  f.detect_time = t;
-  f.type = type;
-  f.disk = model::DiskId(disk);
-  f.system = model::SystemId(3);
-  f.device_address = std::to_string(2 + disk % 4) + "." + std::to_string(16 + disk % 14);
-  f.serial = model::serial_for(f.disk);
-  return f;
+/// Appends the propagation chain of one failure on system 3 to `out`.
+void emit_failure(log::LineWriter& out, double t, model::FailureType type, std::uint32_t disk) {
+  const std::string address =
+      std::to_string(2 + disk % 4) + "." + std::to_string(16 + disk % 14);
+  const std::string serial = model::serial_for(model::DiskId(disk));
+  log::emit_chain(out, log::FailureLineInput{t, type, model::DiskId(disk), model::SystemId(3),
+                                             address, serial});
 }
 
 /// Forensics over an archived run: print the fleet-wide ledger summary
@@ -84,15 +85,16 @@ int main(int argc, char** argv) {
   // --- 1. What a failure looks like in the logs -----------------------------
   std::cout << "A physical interconnect failure propagating from the Fibre Channel\n"
                "layer up to the RAID layer (the shape of the paper's Figure 3):\n\n";
-  const auto chain = log::propagation_chain(
-      make_failure(490416.0, model::FailureType::kPhysicalInterconnect, 24));
-  for (const auto& record : chain) {
-    std::cout << "  " << log::render_line(record) << "\n";
+  log::LineWriter chain;
+  emit_failure(chain, 490416.0, model::FailureType::kPhysicalInterconnect, 24);
+  for (std::string_view rest = chain.view(); !rest.empty();) {
+    const auto nl = rest.find('\n');
+    std::cout << "  " << rest.substr(0, nl) << "\n";
+    rest.remove_prefix(nl + 1);
   }
 
   // --- 2. A messy log stream ------------------------------------------------
-  std::stringstream stream;
-  log::LogEmitter emitter(stream);
+  log::LineWriter stream;
   double t = 100000.0;
   const model::FailureType kinds[] = {
       model::FailureType::kDisk, model::FailureType::kPhysicalInterconnect,
@@ -100,22 +102,28 @@ int main(int argc, char** argv) {
       model::FailureType::kPerformance};
   std::uint32_t disk = 10;
   for (const auto type : kinds) {
-    emitter.emit(make_failure(t, type, disk));
+    emit_failure(stream, t, type, disk);
     t += 7200.0;
     ++disk;
   }
   // Replay the interconnect terminal line (multipath reporting duplicates it).
-  emitter.emit(log::propagation_chain(
-      make_failure(100000.0 + 7200.0 + 30.0, model::FailureType::kPhysicalInterconnect,
-                   11))[5]);
+  // Parse the replayed chain and render its last record, the RAID-layer
+  // terminal, back to its line.
+  log::LineWriter replayed;
+  emit_failure(replayed, 100000.0 + 7200.0 + 30.0, model::FailureType::kPhysicalInterconnect,
+               11);
+  std::vector<log::LogView> replay_records;
+  log::parse_text(replayed.view(), replay_records);
+  log::render_line_to(stream, replay_records.back());
+  stream.newline();
   // Foreign subsystem noise and a line mangled in transit.
-  stream << "nvram.battery.low: replace battery pack soon\n";
-  stream << "D0001 03:00:00 t=97200.000 [scsi.cmd.checkCondition:err";  // truncated
+  stream.text("nvram.battery.low: replace battery pack soon\n");
+  stream.text("D0001 03:00:00 t=97200.000 [scsi.cmd.checkCondition:err");  // truncated
 
   // --- 3. Parse and classify -------------------------------------------------
-  std::vector<log::LogRecord> records;
-  std::stringstream replay(stream.str());
-  const auto parse_stats = log::parse_stream(replay, records);
+  // The records are views into `stream`, which outlives them.
+  std::vector<log::LogView> records;
+  const auto parse_stats = log::parse_text(stream.view(), records);
   log::ClassifierStats classify_stats;
   const auto failures = log::classify(records, {}, &classify_stats);
 

@@ -51,21 +51,7 @@ ShardOutput roundtrip_shard(const model::Fleet& fleet,
     out.stats.log_lines_written = sim::write_failure_logs(log_text, fleet, failures);
     out.stats.stage_seconds.emit = span.stop();
 
-    obs::Span parse_span("pipeline.parse");
-    std::vector<log::LogView> records;
-    const log::ParseStats parse_stats = log::parse_text(log_text.view(), records);
-    out.stats.log_lines_parsed = parse_stats.lines_parsed;
-    out.stats.stage_seconds.parse = parse_span.stop();
-
-    obs::Span classify_span("pipeline.classify");
-    log::ClassifierStats classifier_stats;
-    out.failures = log::classify(std::span<const log::LogView>(records),
-                                 log::ClassifierOptions{}, &classifier_stats);
-    out.stats.raid_records = classifier_stats.raid_records;
-    out.stats.duplicates_dropped = classifier_stats.duplicates_dropped;
-    out.stats.missing_disk_dropped = classifier_stats.missing_disk_dropped;
-    out.stats.failures_classified = out.failures.size();
-    out.stats.stage_seconds.classify = classify_span.stop();
+    out.failures = parse_and_classify(log_text.view(), out.stats).failures;
   }
 
   STORSIM_OBS_COUNTER(c_classified, "pipeline.failures_classified",
@@ -101,6 +87,24 @@ void accumulate(PipelineStats& into, const PipelineStats& shard) {
 }
 
 }  // namespace
+
+ClassifiedLog parse_and_classify(std::string_view text, PipelineStats& stats) {
+  ClassifiedLog out;
+  obs::Span parse_span("pipeline.parse");
+  out.parse = log::parse_text(text, out.records);
+  stats.log_lines_parsed = out.parse.lines_parsed;
+  stats.stage_seconds.parse = parse_span.stop();
+
+  obs::Span classify_span("pipeline.classify");
+  log::ClassifierStats classifier;
+  out.failures = log::classify(out.records, {}, &classifier);
+  stats.raid_records = classifier.raid_records;
+  stats.failures_classified = out.failures.size();
+  stats.duplicates_dropped = classifier.duplicates_dropped;
+  stats.missing_disk_dropped = classifier.missing_disk_dropped;
+  stats.stage_seconds.classify = classify_span.stop();
+  return out;
+}
 
 Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result,
                          PipelineStats* stats) {
@@ -173,12 +177,7 @@ Dataset dataset_via_logs(const model::Fleet& fleet, const sim::SimResult& result
     // Restore the classifier's global output order (time, disk, type) so the
     // sharded pipeline is bit-identical to the serial one.
     obs::Span sort_span("pipeline.sort");
-    std::sort(classified.begin(), classified.end(),
-              [](const log::ClassifiedFailure& a, const log::ClassifiedFailure& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.disk != b.disk) return a.disk < b.disk;
-                return static_cast<int>(a.type) < static_cast<int>(b.type);
-              });
+    std::sort(classified.begin(), classified.end(), log::CanonicalOrder{});
     local.stage_seconds.sort = sort_span.stop();
   }
 

@@ -13,8 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "core/dataset.h"
+#include "log/parser.h"
 #include "model/fleet_config.h"
 #include "sim/params.h"
 #include "sim/simulator.h"
@@ -44,6 +47,22 @@ struct PipelineStats {
   std::size_t missing_disk_dropped = 0;  ///< RAID records without a disk id
   StageSeconds stage_seconds;
 };
+
+/// What one parse -> classify pass over a log text yields. `records` alias
+/// the text, which must outlive them.
+struct ClassifiedLog {
+  std::vector<log::LogView> records;
+  log::ParseStats parse;
+  std::vector<FailureEvent> failures;
+};
+
+/// The read half of the log round trip, shared by the pipeline and by
+/// callers that read log files: parses `text` (span pipeline.parse) and
+/// classifies the records (span pipeline.classify). Sets the parse and
+/// classify counters of `stats` (log_lines_parsed, raid_records,
+/// failures_classified, duplicates_dropped, missing_disk_dropped) and their
+/// stage seconds; `log_lines_written` stays the caller's to set.
+ClassifiedLog parse_and_classify(std::string_view text, PipelineStats& stats);
 
 /// Builds a Dataset from an already-run simulation via the text-log
 /// round-trip (emit -> parse -> classify -> parse snapshot -> join).

@@ -143,12 +143,7 @@ Dataset dataset_from_store(const store::StoreParts& parts) {
   // Restore the canonical global order across classes and parts (each
   // class of each part is already (time, disk, type)-sorted, and global ids
   // make the key identical to the monolithic one).
-  std::sort(events.begin(), events.end(),
-            [](const FailureEvent& a, const FailureEvent& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.disk != b.disk) return a.disk < b.disk;
-              return static_cast<int>(a.type) < static_cast<int>(b.type);
-            });
+  std::sort(events.begin(), events.end(), log::CanonicalOrder{});
   return Dataset(std::make_shared<log::Inventory>(std::move(inv)), std::move(events));
 }
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "log/parser.h"
-#include "log/record.h"
 #include "model/enums.h"
 #include "model/ids.h"
 
@@ -28,6 +27,17 @@ struct ClassifiedFailure {
   friend bool operator==(const ClassifiedFailure&, const ClassifiedFailure&) = default;
 };
 
+/// The canonical event order, (time, disk, type): `classify` returns it, and
+/// every merge of classified events (sharded pipeline, store writer, store
+/// parts) restores it, so an event list is a pure function of its set.
+struct CanonicalOrder {
+  bool operator()(const ClassifiedFailure& a, const ClassifiedFailure& b) const {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.disk != b.disk) return a.disk < b.disk;
+    return static_cast<int>(a.type) < static_cast<int>(b.type);
+  }
+};
+
 struct ClassifierOptions {
   /// RAID-layer duplicates of the same (disk, type) within this window are
   /// collapsed into the first occurrence.
@@ -41,15 +51,8 @@ struct ClassifierStats {
 };
 
 /// Extracts and de-duplicates failures. Records may arrive in any order;
-/// output is sorted by time.
-std::vector<ClassifiedFailure> classify(std::span<const LogRecord> records,
-                                        const ClassifierOptions& options = {},
-                                        ClassifierStats* stats = nullptr);
-
-/// View-record overload — the pipeline fast path. Terminal detection
-/// switches on the interned event-code id, so no string is touched.
-/// Produces the same failures and stats as the owning overload for
-/// equivalent input.
+/// output is in CanonicalOrder. Terminal detection switches on the interned
+/// event-code id, so no string is touched.
 std::vector<ClassifiedFailure> classify(std::span<const LogView> records,
                                         const ClassifierOptions& options = {},
                                         ClassifierStats* stats = nullptr);

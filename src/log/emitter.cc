@@ -2,7 +2,6 @@
 
 #include <array>
 #include <charconv>
-#include <ostream>
 #include <span>
 
 #include "log/codes.h"
@@ -14,7 +13,7 @@ namespace {
 using model::FailureType;
 
 // --- static chain table -----------------------------------------------------
-// One table drives both emission paths. A message is a sequence of pieces;
+// One table drives every chain. A message is a sequence of pieces;
 // each piece appends a literal and then (optionally) one of the per-failure
 // substitution slots, so formatting is pure appends — no temporaries.
 
@@ -115,7 +114,7 @@ std::span<const ChainStep> chain_for(FailureType type) {
 }
 
 /// Per-step " [<code>:<severity>]" fragments, prerendered once at first use
-/// from the same code/severity tables the record path reads, so the hot loop
+/// from the same code/severity tables `render_line_to` reads, so the hot loop
 /// appends one view instead of five pieces per line.
 template <std::size_t N>
 std::array<std::string, N> build_code_sev_fragments(const ChainStep (&steps)[N]) {
@@ -185,27 +184,6 @@ void append_message(LineWriter& out, std::span<const MsgPiece> pieces,
   }
 }
 
-/// Everything before the free-form message: timestamp, raw time, code,
-/// severity, and the machine-readable id block.
-void append_line_head(LineWriter& out, double time, std::string_view code, Severity severity,
-                      model::SystemId system, model::DiskId disk) {
-  out.timestamp(time).text(" t=").fixed3(time);
-  out.text(" [").text(code).ch(':').text(to_string(severity)).ch(']');
-  out.text(" [sys=");
-  if (system.valid()) {
-    out.u32(system.value());
-  } else {
-    out.ch('-');
-  }
-  out.text(" disk=");
-  if (disk.valid()) {
-    out.u32(disk.value());
-  } else {
-    out.ch('-');
-  }
-  out.text("]: ");
-}
-
 }  // namespace
 
 std::size_t emit_chain(LineWriter& out, const FailureLineInput& f) {
@@ -225,31 +203,6 @@ std::size_t emit_chain(LineWriter& out, const FailureLineInput& f) {
   return steps.size();
 }
 
-std::vector<LogRecord> propagation_chain(const EmittableFailure& f) {
-  const FailureLineInput input{f.detect_time, f.type,           f.disk,
-                               f.system,      f.device_address, f.serial};
-  const std::string_view dev = input.device_address;
-  const std::string_view adapter = dev.substr(0, dev.find('.'));
-
-  std::vector<LogRecord> chain;
-  const auto steps = chain_for(f.type);
-  chain.reserve(steps.size());
-  LineWriter message;
-  for (const ChainStep& step : steps) {
-    message.clear();
-    append_message(message, step.message, input, adapter);
-    LogRecord r;
-    r.time = f.detect_time - step.dt;
-    r.code = std::string(code_name(step.code));
-    r.severity = step.severity;
-    r.disk = f.disk;
-    r.system = f.system;
-    r.message = std::string(message.view());
-    chain.push_back(std::move(r));
-  }
-  return chain;
-}
-
 std::string render_timestamp(double sim_seconds) {
   // Render as day/hh:mm:ss offsets from study start; analysis parses the raw
   // seconds attribute instead, so this is purely cosmetic.
@@ -258,31 +211,11 @@ std::string render_timestamp(double sim_seconds) {
   return out.take();
 }
 
-void render_line_to(LineWriter& out, const LogRecord& r) {
-  append_line_head(out, r.time, r.code, r.severity, r.system, r.disk);
-  out.text(r.message);
-}
-
-std::string render_line(const LogRecord& r) {
-  LineWriter out;
-  render_line_to(out, r);
-  return out.take();
-}
-
-void LogEmitter::emit(const LogRecord& record) {
-  scratch_.clear();
-  render_line_to(scratch_, record);
-  scratch_.newline();
-  *out_ << scratch_.view();
-  ++lines_;
-}
-
-void LogEmitter::emit(const EmittableFailure& failure) {
-  scratch_.clear();
-  lines_ += emit_chain(scratch_, FailureLineInput{failure.detect_time, failure.type,
-                                                  failure.disk, failure.system,
-                                                  failure.device_address, failure.serial});
-  *out_ << scratch_.view();
+void render_line_to(LineWriter& out, const LogView& r) {
+  char id_buf[48];
+  out.timestamp(r.time).text(" t=").fixed3(r.time);
+  out.text(" [").text(r.code).ch(':').text(to_string(r.severity)).ch(']');
+  out.text(format_id_block(id_buf, r.system, r.disk)).text(r.message);
 }
 
 }  // namespace storsubsim::log

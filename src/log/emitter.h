@@ -7,87 +7,51 @@
 // the analysis dataset without heuristics, while the prose stays faithful
 // to the look of the original logs.
 //
-// Two emission paths share one chain table (docs/FORMAT.md):
-//   * the buffer fast path — `emit_chain` formats every line in place into
-//     a reusable LineWriter from static message templates, allocation-free
-//     at steady state; this is what the dataset pipeline uses;
-//   * the record path — `propagation_chain` materializes owning LogRecords
-//     for callers that inspect or reorder individual events (tests, the
-//     forensics example).
+// Everything renders into a reusable LineWriter (docs/FORMAT.md):
+// `emit_chain` formats a failure's whole chain in place from static message
+// templates, allocation-free at steady state, and `render_line_to` renders
+// one parsed record back to its line — the inverse of `parse_line_view`.
 #pragma once
 
-#include <iosfwd>
+#include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "log/line_writer.h"
+#include "log/parser.h"
 #include "log/record.h"
 #include "model/enums.h"
 #include "model/ids.h"
 
 namespace storsubsim::log {
 
-/// A failure occurrence the emitter knows how to narrate.
-struct EmittableFailure {
-  double detect_time = 0.0;
-  model::FailureType type = model::FailureType::kDisk;
-  model::DiskId disk;
-  model::SystemId system;
-  /// Device address rendered as "adapter.target", e.g. "8.24".
-  std::string device_address = "0.0";
-  std::string serial;
-};
-
-/// The view-based flavor of EmittableFailure for the buffer fast path: the
-/// caller keeps the address/serial bytes alive for the duration of the call
-/// (a stack scratch buffer suffices — nothing is retained).
+/// A failure occurrence the emitter knows how to narrate. The caller keeps
+/// the address/serial bytes alive for the duration of the call (a stack
+/// scratch buffer suffices — nothing is retained).
 struct FailureLineInput {
   double detect_time = 0.0;
   model::FailureType type = model::FailureType::kDisk;
   model::DiskId disk;
   model::SystemId system;
+  /// Device address rendered as "adapter.target", e.g. "8.24".
   std::string_view device_address = "0.0";
   std::string_view serial;
 };
 
 /// Appends the full rendered propagation chain (newline-terminated lines)
-/// for one failure to `out`. Returns the number of lines appended.
+/// for one failure to `out`: precursors first, each preceding
+/// `detect_time` by seconds to minutes in the order the layers would report
+/// them, then the RAID-layer terminal at `detect_time`. Returns the number
+/// of lines appended.
 std::size_t emit_chain(LineWriter& out, const FailureLineInput& failure);
 
-/// Builds the full record chain (precursors + RAID terminal) for a failure.
-/// Precursor timestamps precede `detect_time` by seconds to minutes, in the
-/// order the layers would report them. Renders byte-identically to
-/// `emit_chain` (both read the same static chain table).
-std::vector<LogRecord> propagation_chain(const EmittableFailure& failure);
-
 /// Appends one record as a single text line (no trailing newline):
-///   <ts> [<code>:<severity>] [sys=N disk=N] <message>
-void render_line_to(LineWriter& out, const LogRecord& record);
+///   <ts> t=<seconds> [<code>:<severity>] [sys=N disk=N]: <message>
+/// For any line this library wrote, `parse_line_view` then `render_line_to`
+/// gives the same bytes back.
+void render_line_to(LineWriter& out, const LogView& record);
 
-/// Convenience wrapper over `render_line_to` returning an owning string.
-std::string render_line(const LogRecord& record);
-
-/// Pretty wall-clock rendering of a sim timestamp ("Sun Jul 23 05:43:36").
+/// Cosmetic day/time-of-day rendering of a sim timestamp ("D0001 10:17:36").
 std::string render_timestamp(double sim_seconds);
-
-/// Streams whole propagation chains for a batch of failures, in time order.
-class LogEmitter {
- public:
-  explicit LogEmitter(std::ostream& out) : out_(&out) {}
-
-  /// Emits the propagation chain for one failure.
-  void emit(const EmittableFailure& failure);
-
-  /// Emits a single already-built record.
-  void emit(const LogRecord& record);
-
-  std::size_t lines_written() const { return lines_; }
-
- private:
-  std::ostream* out_;
-  LineWriter scratch_;
-  std::size_t lines_ = 0;
-};
 
 }  // namespace storsubsim::log

@@ -1,5 +1,5 @@
-// Structured log records — the unit the emitter writes and the parser
-// recovers.
+// The vocabulary of a log record: severity and the software layer that
+// reported it. A parsed record is a `LogView` (log/parser.h).
 //
 // The storage systems studied in the paper log informational and error
 // events on each layer as a failure propagates upward (Fibre Channel ->
@@ -11,11 +11,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
-
-#include "model/enums.h"
-#include "model/ids.h"
 
 namespace storsubsim::log {
 
@@ -28,26 +24,5 @@ std::optional<Severity> parse_severity(std::string_view s);
 enum class Layer : std::uint8_t { kFibreChannel, kScsi, kDiskDriver, kRaid, kOther };
 
 Layer layer_of_code(std::string_view code);
-
-struct LogRecord {
-  double time = 0.0;  ///< seconds since study start
-  std::string code;   ///< e.g. "scsi.cmd.selectionTimeout"
-  Severity severity = Severity::kInfo;
-  model::DiskId disk;      ///< affected disk (invalid if none)
-  model::SystemId system;  ///< reporting system
-  std::string message;     ///< free-form human text
-
-  Layer layer() const { return layer_of_code(code); }
-};
-
-/// RAID-layer terminal codes, one per storage subsystem failure type. The
-/// RAID layer sits directly above the storage subsystem, so these four codes
-/// are what the analysis counts (paper §2.5: "we look at four types of
-/// events generated by the RAID layer").
-std::string_view raid_code_for(model::FailureType type);
-
-/// Maps a RAID-layer code back to the failure type; nullopt for non-terminal
-/// codes.
-std::optional<model::FailureType> failure_type_of_code(std::string_view code);
 
 }  // namespace storsubsim::log

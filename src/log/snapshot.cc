@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <istream>
-#include <ostream>
+#include <utility>
+#include <vector>
 
 #include "model/fleet.h"
 #include "model/time.h"
@@ -28,28 +28,34 @@ void append_time(LineWriter& out, double t) {
   }
 }
 
-/// Splits "key=value" tokens out of a line.
+/// The "key=value" tokens of one line, split once, left to right, on ' '.
+/// A token's key runs up to its first '='; a token without '=' has no key
+/// and never matches. Lookups compare whole keys ("model" never matches
+/// "disk-model"), and the first token with the asked-for key wins. One
+/// reader serves every line of a parse, so its token list is allocated once.
 class TokenReader {
  public:
-  explicit TokenReader(std::string_view line) : line_(line) {}
-
-  /// Finds "key=" and returns the value up to the next space.
-  std::optional<std::string_view> get(std::string_view key) const {
+  void split(std::string_view line) {
+    tokens_.clear();
     std::size_t pos = 0;
-    while (true) {
-      pos = line_.find(key, pos);
-      if (pos == std::string_view::npos) return std::nullopt;
-      const std::size_t eq = pos + key.size();
-      // Must be at start or preceded by a space to avoid matching suffixes
-      // ("model=" inside "disk-model="), and the key itself must be
-      // followed by '=' rather than being a prefix of a longer key.
-      if ((pos == 0 || line_[pos - 1] == ' ') && eq < line_.size() && line_[eq] == '=') break;
-      pos += 1;
+    while (pos < line.size()) {
+      std::size_t end = line.find(' ', pos);
+      if (end == std::string_view::npos) end = line.size();
+      const std::string_view token = line.substr(pos, end - pos);
+      const std::size_t eq = token.find('=');
+      if (eq != std::string_view::npos) {
+        tokens_.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+      }
+      pos = end + 1;
     }
-    const std::size_t start = pos + key.size() + 1;
-    const std::size_t end = line_.find(' ', start);
-    return line_.substr(start, end == std::string_view::npos ? line_.size() - start
-                                                             : end - start);
+  }
+
+  /// The value of the first token whose key is `key`.
+  std::optional<std::string_view> get(std::string_view key) const {
+    for (const auto& [k, v] : tokens_) {
+      if (k == key) return v;
+    }
+    return std::nullopt;
   }
 
   std::optional<std::uint32_t> get_u32(std::string_view key) const {
@@ -73,7 +79,7 @@ class TokenReader {
   }
 
  private:
-  std::string_view line_;
+  std::vector<std::pair<std::string_view, std::string_view>> tokens_;
 };
 
 /// How many of the `n` consecutive lines starting at line `first` lie
@@ -221,12 +227,6 @@ void write_snapshot(LineWriter& out, const model::Fleet& fleet) {
   write_snapshot_slice(out, fleet, SnapshotSlice{});
 }
 
-void write_snapshot(std::ostream& out, const model::Fleet& fleet) {
-  LineWriter buf;
-  write_snapshot(buf, fleet);
-  out << buf.view();
-}
-
 Inventory inventory_from_fleet(const model::Fleet& fleet) {
   Inventory inv;
   inv.horizon_seconds = fleet.horizon_seconds();
@@ -265,6 +265,7 @@ SnapshotParseResult parse_snapshot_slice(std::string_view text, const SnapshotSl
     result.error = msg.take();
   };
 
+  TokenReader tokens;
   std::size_t pos = 0;
   while (pos < text.size() && !saw_end && result.ok()) {
     const auto nl = text.find('\n', pos);
@@ -274,7 +275,7 @@ SnapshotParseResult parse_snapshot_slice(std::string_view text, const SnapshotSl
 
     ++result.lines;
     if (line.empty() || line[0] == '#') continue;
-    const TokenReader tokens{line};
+    tokens.split(line);
 
     if (line.starts_with("SNAPSHOT ")) {
       if (!slice.has_header) return fail("unexpected SNAPSHOT header"), result;
@@ -407,16 +408,6 @@ SnapshotParseResult parse_snapshot(std::string_view text) {
   const SnapshotSlice whole;
   SnapshotParseResult parsed = parse_snapshot_slice(text, whole);
   return merge_snapshot_slices({&whole, 1}, {&parsed, 1});
-}
-
-SnapshotParseResult parse_snapshot(std::istream& in) {
-  std::string text;
-  char chunk[1 << 16];
-  while (in) {
-    in.read(chunk, sizeof(chunk));
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-  return parse_snapshot(std::string_view(text));
 }
 
 }  // namespace storsubsim::log

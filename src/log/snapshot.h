@@ -8,10 +8,9 @@
 // into a plain `Inventory` that the analysis layer consumes — keeping the
 // analysis decoupled from the simulator's live Fleet object.
 //
-// Like the failure-log pipeline, the snapshot codec has a buffer fast path:
-// `write_snapshot(LineWriter&, ...)` appends the section to a reusable
-// buffer and `parse_snapshot(std::string_view)` walks text in place; the
-// stream forms are thin adapters over them.
+// Like the failure-log pipeline, the snapshot codec works on text buffers:
+// `write_snapshot` appends the section to a reusable LineWriter and
+// `parse_snapshot` walks text in place.
 //
 // The text has one line per record, in a fixed order, so it can be cut into
 // line-range slices that are written and parsed independently: slice k of K
@@ -23,7 +22,6 @@
 // entry point for untrusted text.
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <span>
 #include <string>
@@ -143,9 +141,6 @@ void write_snapshot_slice(LineWriter& out, const model::Fleet& fleet,
 /// text buffer: the one-slice case of write_snapshot_slice.
 void write_snapshot(LineWriter& out, const model::Fleet& fleet);
 
-/// Serializes the fleet's full inventory (including retired disk records).
-void write_snapshot(std::ostream& out, const model::Fleet& fleet);
-
 /// Result of parsing a snapshot; `error` is empty on success.
 struct SnapshotParseResult {
   Inventory inventory;
@@ -170,12 +165,10 @@ SnapshotParseResult parse_snapshot_slice(std::string_view text, const SnapshotSl
 SnapshotParseResult merge_snapshot_slices(std::span<const SnapshotSlice> slices,
                                           std::span<SnapshotParseResult> parsed);
 
-/// Parses a snapshot section from an in-memory buffer (no stream, no
-/// per-line copies): the one-slice case of the kernels above. The result
-/// owns everything; `text` may die after.
+/// Parses a snapshot section from an in-memory buffer (no per-line
+/// copies): the one-slice case of the kernels above. The result owns
+/// everything; `text` may die after.
 SnapshotParseResult parse_snapshot(std::string_view text);
-
-SnapshotParseResult parse_snapshot(std::istream& in);
 
 /// Builds the same Inventory directly from a live fleet (bypassing text) —
 /// used by tests to verify write/parse round-trips and by callers that do

@@ -1,7 +1,6 @@
 #include "sim/log_bridge.h"
 
 #include <charconv>
-#include <ostream>
 #include <string>
 
 #include "log/codes.h"
@@ -28,6 +27,34 @@ std::string_view format_device_address(const model::Fleet& fleet, model::DiskId 
   return std::string_view(buf.data(), static_cast<std::size_t>(p - buf.data()));
 }
 
+log::EventCode precursor_code(PrecursorKind kind) {
+  switch (kind) {
+    case PrecursorKind::kMediumError: return log::EventCode::kDiskIoMediumError;
+    case PrecursorKind::kLinkReset: return log::EventCode::kFciLinkReset;
+    case PrecursorKind::kCmdTimeout: return log::EventCode::kScsiSlowCompletion;
+  }
+  return log::EventCode::kUnknown;
+}
+
+std::optional<PrecursorKind> precursor_kind_of(log::EventCode code) {
+  switch (code) {
+    case log::EventCode::kDiskIoMediumError: return PrecursorKind::kMediumError;
+    case log::EventCode::kFciLinkReset: return PrecursorKind::kLinkReset;
+    case log::EventCode::kScsiSlowCompletion: return PrecursorKind::kCmdTimeout;
+    default: return std::nullopt;
+  }
+}
+
+/// The message text after "Device <address>".
+std::string_view precursor_message_tail(PrecursorKind kind) {
+  switch (kind) {
+    case PrecursorKind::kMediumError: return ": medium error, sector remapped.";
+    case PrecursorKind::kLinkReset: return ": Fibre Channel link reset.";
+    case PrecursorKind::kCmdTimeout: return ": command completion exceeded threshold.";
+  }
+  return {};
+}
+
 }  // namespace
 
 std::string device_address(const model::Fleet& fleet, model::DiskId disk) {
@@ -40,7 +67,7 @@ std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
   std::size_t lines = 0;
   char dev_buf[24];
   for (const auto& f : failures) {
-    storsubsim::log::FailureLineInput input;
+    log::FailureLineInput input;
     input.detect_time = f.detect_time;
     input.type = f.type;
     input.disk = f.disk;
@@ -48,7 +75,7 @@ std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
     input.device_address = format_device_address(fleet, f.disk, dev_buf);
     const auto serial = model::serial_chars(f.disk);
     input.serial = std::string_view(serial.data(), serial.size());
-    lines += storsubsim::log::emit_chain(out, input);
+    lines += log::emit_chain(out, input);
   }
   STORSIM_OBS_COUNTER(c_chains, "log.emit.chains",
                       ::storsubsim::obs::Stability::kDeterministic);
@@ -59,67 +86,41 @@ std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
   return lines;
 }
 
-std::size_t write_failure_logs(std::ostream& out, const model::Fleet& fleet,
-                               std::span<const SimFailure> failures) {
-  log::LineWriter buf;
-  const std::size_t lines = write_failure_logs(buf, fleet, failures);
-  out << buf.view();
-  return lines;
-}
-
 std::string_view code_for(PrecursorKind kind) {
-  switch (kind) {
-    case PrecursorKind::kMediumError:
-      return storsubsim::log::code_name(storsubsim::log::EventCode::kDiskIoMediumError);
-    case PrecursorKind::kLinkReset:
-      return storsubsim::log::code_name(storsubsim::log::EventCode::kFciLinkReset);
-    case PrecursorKind::kCmdTimeout:
-      return storsubsim::log::code_name(storsubsim::log::EventCode::kScsiSlowCompletion);
-  }
-  return "unknown";
+  return log::code_name(precursor_code(kind));
 }
 
 std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code) {
-  for (const auto kind : {PrecursorKind::kMediumError, PrecursorKind::kLinkReset,
-                          PrecursorKind::kCmdTimeout}) {
-    if (code == code_for(kind)) return kind;
-  }
-  return std::nullopt;
+  return precursor_kind_of(log::code_id(code));
 }
 
-std::size_t write_precursor_logs(std::ostream& out, const model::Fleet& fleet,
+std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet,
                                  std::span<const PrecursorEvent> events) {
-  storsubsim::log::LogEmitter emitter(out);
+  log::LineWriter message;
+  char dev_buf[24];
   for (const auto& e : events) {
-    storsubsim::log::LogRecord record;
+    message.clear();
+    message.text("Device ").text(format_device_address(fleet, e.disk, dev_buf));
+    message.text(precursor_message_tail(e.kind));
+    log::LogView record;
     record.time = e.time;
-    record.code = std::string(code_for(e.kind));
-    record.severity = e.kind == PrecursorKind::kCmdTimeout
-                          ? storsubsim::log::Severity::kWarning
-                          : storsubsim::log::Severity::kError;
+    record.code_id = precursor_code(e.kind);
+    record.code = log::code_name(record.code_id);
+    record.severity =
+        e.kind == PrecursorKind::kCmdTimeout ? log::Severity::kWarning : log::Severity::kError;
     record.disk = e.disk;
     record.system = e.system;
-    const std::string dev = device_address(fleet, e.disk);
-    switch (e.kind) {
-      case PrecursorKind::kMediumError:
-        record.message = "Device " + dev + ": medium error, sector remapped.";
-        break;
-      case PrecursorKind::kLinkReset:
-        record.message = "Device " + dev + ": Fibre Channel link reset.";
-        break;
-      case PrecursorKind::kCmdTimeout:
-        record.message = "Device " + dev + ": command completion exceeded threshold.";
-        break;
-    }
-    emitter.emit(record);
+    record.message = message.view();
+    log::render_line_to(out, record);
+    out.newline();
   }
-  return emitter.lines_written();
+  return events.size();
 }
 
-std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogRecord> records) {
+std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogView> records) {
   std::vector<PrecursorEvent> out;
   for (const auto& r : records) {
-    const auto kind = precursor_kind_of_code(r.code);
+    const auto kind = precursor_kind_of(r.code_id);
     if (!kind || !r.disk.valid()) continue;
     out.push_back(PrecursorEvent{r.time, r.disk, r.system, *kind});
   }

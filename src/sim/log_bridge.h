@@ -5,13 +5,14 @@
 // that mirrors how the paper's data was produced and consumed.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "log/line_writer.h"
-#include "log/record.h"
+#include "log/parser.h"
 #include "model/fleet.h"
 #include "sim/precursors.h"
 #include "sim/simulator.h"
@@ -25,10 +26,6 @@ namespace storsubsim::sim {
 std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
                                std::span<const SimFailure> failures);
 
-/// Stream adapter over the buffer fast path (identical bytes).
-std::size_t write_failure_logs(std::ostream& out, const model::Fleet& fleet,
-                               std::span<const SimFailure> failures);
-
 /// Renders the "adapter.target" device address used in log prose.
 std::string device_address(const model::Fleet& fleet, model::DiskId disk);
 
@@ -39,12 +36,13 @@ std::string_view code_for(PrecursorKind kind);
 /// Inverse of `code_for`; nullopt for non-precursor codes.
 std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code);
 
-/// Writes one log line per precursor event. Returns lines written.
-std::size_t write_precursor_logs(std::ostream& out, const model::Fleet& fleet,
+/// Appends one log line per precursor event, rendered by
+/// `log::render_line_to`. Returns lines written.
+std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet,
                                  std::span<const PrecursorEvent> events);
 
 /// Recovers precursor events from parsed log records (the read side of
 /// `write_precursor_logs`). Non-precursor records are skipped.
-std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogRecord> records);
+std::vector<PrecursorEvent> extract_precursors(std::span<const log::LogView> records);
 
 }  // namespace storsubsim::sim

@@ -377,12 +377,7 @@ Error build_store_image(const StoreContents& contents, std::string* image) {
   // event *set*, not of the order the caller happened to hold it in.
   std::vector<log::ClassifiedFailure> sorted(contents.events.begin(),
                                              contents.events.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const log::ClassifiedFailure& a, const log::ClassifiedFailure& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.disk != b.disk) return a.disk < b.disk;
-              return static_cast<int>(a.type) < static_cast<int>(b.type);
-            });
+  std::sort(sorted.begin(), sorted.end(), log::CanonicalOrder{});
 
   // Stable partition into one span per system class (partition preserves the
   // canonical order within each class).

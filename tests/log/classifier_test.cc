@@ -3,14 +3,13 @@
 #include "log/classifier.h"
 
 #include <algorithm>
-#include <span>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "log/codes.h"
 #include "log/emitter.h"
+#include "log/line_writer.h"
 #include "log/parser.h"
 
 namespace log_ns = storsubsim::log;
@@ -18,10 +17,11 @@ namespace model = storsubsim::model;
 
 namespace {
 
-log_ns::LogRecord raid_record(double t, std::uint32_t disk, model::FailureType type) {
-  log_ns::LogRecord r;
+log_ns::LogView raid_record(double t, std::uint32_t disk, model::FailureType type) {
+  log_ns::LogView r;
   r.time = t;
-  r.code = std::string(log_ns::raid_code_for(type));
+  r.code_id = log_ns::raid_terminal_for(type);
+  r.code = log_ns::code_name(r.code_id);
   r.severity = log_ns::Severity::kError;
   r.disk = model::DiskId(disk);
   r.system = model::SystemId(1);
@@ -32,14 +32,14 @@ log_ns::LogRecord raid_record(double t, std::uint32_t disk, model::FailureType t
 }  // namespace
 
 TEST(Classifier, CountsOnlyRaidTerminals) {
-  log_ns::EmittableFailure f;
-  f.detect_time = 1000.0;
-  f.type = model::FailureType::kPhysicalInterconnect;
-  f.disk = model::DiskId(5);
-  f.system = model::SystemId(2);
-  f.device_address = "1.16";
-  f.serial = "S";
-  const auto chain = log_ns::propagation_chain(f);  // 6 records, 1 terminal
+  log_ns::LineWriter text;
+  log_ns::emit_chain(text, log_ns::FailureLineInput{1000.0,
+                                                    model::FailureType::kPhysicalInterconnect,
+                                                    model::DiskId(5), model::SystemId(2), "1.16",
+                                                    "S"});
+  std::vector<log_ns::LogView> chain;
+  log_ns::parse_text(text.view(), chain);
+  ASSERT_EQ(chain.size(), 6u);  // 1 terminal
 
   log_ns::ClassifierStats stats;
   const auto failures = log_ns::classify(chain, {}, &stats);
@@ -51,7 +51,7 @@ TEST(Classifier, CountsOnlyRaidTerminals) {
 }
 
 TEST(Classifier, DeduplicatesWithinWindow) {
-  std::vector<log_ns::LogRecord> records = {
+  std::vector<log_ns::LogView> records = {
       raid_record(100.0, 9, model::FailureType::kDisk),
       raid_record(150.0, 9, model::FailureType::kDisk),   // duplicate (50 s later)
       raid_record(100.0, 9, model::FailureType::kDisk),   // exact duplicate
@@ -66,7 +66,7 @@ TEST(Classifier, DeduplicatesWithinWindow) {
 }
 
 TEST(Classifier, DifferentTypesNotDeduplicated) {
-  const std::vector<log_ns::LogRecord> records = {
+  const std::vector<log_ns::LogView> records = {
       raid_record(100.0, 9, model::FailureType::kDisk),
       raid_record(120.0, 9, model::FailureType::kPhysicalInterconnect),
       raid_record(130.0, 9, model::FailureType::kProtocol),
@@ -75,7 +75,7 @@ TEST(Classifier, DifferentTypesNotDeduplicated) {
 }
 
 TEST(Classifier, DifferentDisksNotDeduplicated) {
-  const std::vector<log_ns::LogRecord> records = {
+  const std::vector<log_ns::LogView> records = {
       raid_record(100.0, 1, model::FailureType::kDisk),
       raid_record(101.0, 2, model::FailureType::kDisk),
   };
@@ -83,7 +83,7 @@ TEST(Classifier, DifferentDisksNotDeduplicated) {
 }
 
 TEST(Classifier, OutOfOrderInputSorted) {
-  const std::vector<log_ns::LogRecord> records = {
+  const std::vector<log_ns::LogView> records = {
       raid_record(5000.0, 2, model::FailureType::kProtocol),
       raid_record(100.0, 1, model::FailureType::kDisk),
       raid_record(2500.0, 3, model::FailureType::kPerformance),
@@ -98,13 +98,13 @@ TEST(Classifier, DropsRecordsWithoutDiskId) {
   auto orphan = raid_record(100.0, 0, model::FailureType::kDisk);
   orphan.disk = model::DiskId{};
   log_ns::ClassifierStats stats;
-  const auto failures = log_ns::classify(std::vector<log_ns::LogRecord>{orphan}, {}, &stats);
+  const auto failures = log_ns::classify(std::vector<log_ns::LogView>{orphan}, {}, &stats);
   EXPECT_TRUE(failures.empty());
   EXPECT_EQ(stats.missing_disk_dropped, 1u);
 }
 
 TEST(Classifier, CustomWindow) {
-  const std::vector<log_ns::LogRecord> records = {
+  const std::vector<log_ns::LogView> records = {
       raid_record(100.0, 9, model::FailureType::kDisk),
       raid_record(150.0, 9, model::FailureType::kDisk),
   };
@@ -116,7 +116,7 @@ TEST(Classifier, CustomWindow) {
 TEST(Classifier, RepeatedDuplicatesSlideTheWindow) {
   // Repeats every 400 s with a 600 s window: each kept event anchors the
   // window, so the 400 s repeats collapse but the 1300 s one survives.
-  const std::vector<log_ns::LogRecord> records = {
+  const std::vector<log_ns::LogView> records = {
       raid_record(0.0, 9, model::FailureType::kDisk),
       raid_record(400.0, 9, model::FailureType::kDisk),
       raid_record(1300.0, 9, model::FailureType::kDisk),
@@ -126,63 +126,10 @@ TEST(Classifier, RepeatedDuplicatesSlideTheWindow) {
   EXPECT_DOUBLE_EQ(failures[1].time, 1300.0);
 }
 
-TEST(Classifier, ViewOverloadMatchesOwningOverload) {
-  // Emit full propagation chains (plus noise the parser skips), parse the
-  // same text through both the owning and the view path, and require the
-  // two classify overloads to agree record-for-record and stat-for-stat.
-  std::stringstream out;
-  log_ns::LogEmitter emitter(out);
-  double t = 5000.0;
-  std::uint32_t disk = 1;
-  for (int round = 0; round < 3; ++round) {
-    for (const auto type : model::kAllFailureTypes) {
-      log_ns::EmittableFailure f;
-      f.detect_time = t;
-      f.type = type;
-      f.disk = model::DiskId(disk);
-      f.system = model::SystemId(1 + disk % 4);
-      f.device_address = "3.17";
-      f.serial = "SN0000000000";
-      emitter.emit(f);
-      emitter.emit(f);  // whole chain repeated: terminal dedups away
-      t += 250.0;
-      ++disk;
-    }
-  }
-  std::string text = out.str();
-  text += "# comment\nconsole: unrelated chatter\n";
-
-  std::vector<log_ns::LogView> views;
-  log_ns::parse_text(text, views);
-  std::stringstream in(text);
-  std::vector<log_ns::LogRecord> records;
-  log_ns::parse_stream(in, records);
-  ASSERT_EQ(views.size(), records.size());
-
-  log_ns::ClassifierStats view_stats;
-  log_ns::ClassifierStats record_stats;
-  const auto from_views =
-      log_ns::classify(std::span<const log_ns::LogView>(views), {}, &view_stats);
-  const auto from_records = log_ns::classify(records, {}, &record_stats);
-
-  ASSERT_EQ(from_views.size(), from_records.size());
-  for (std::size_t i = 0; i < from_views.size(); ++i) {
-    EXPECT_EQ(from_views[i].time, from_records[i].time);
-    EXPECT_EQ(from_views[i].type, from_records[i].type);
-    EXPECT_EQ(from_views[i].disk, from_records[i].disk);
-    EXPECT_EQ(from_views[i].system, from_records[i].system);
-  }
-  EXPECT_EQ(view_stats.raid_records, record_stats.raid_records);
-  EXPECT_EQ(view_stats.duplicates_dropped, record_stats.duplicates_dropped);
-  EXPECT_EQ(view_stats.missing_disk_dropped, record_stats.missing_disk_dropped);
-  EXPECT_GT(from_views.size(), 0u);
-  EXPECT_GT(view_stats.duplicates_dropped, 0u);
-}
-
 TEST(Classifier, StatsArePinnedForMixedCorpus) {
   // Exact stats over a hand-built corpus; any change in counting semantics
   // (what is a RAID record, what dedups, what is dropped) shows up here.
-  std::vector<log_ns::LogRecord> records = {
+  std::vector<log_ns::LogView> records = {
       raid_record(100.0, 9, model::FailureType::kDisk),
       raid_record(150.0, 9, model::FailureType::kDisk),    // dup, 50 s later
       raid_record(9000.0, 9, model::FailureType::kDisk),   // beyond window
@@ -191,9 +138,10 @@ TEST(Classifier, StatsArePinnedForMixedCorpus) {
   auto orphan = raid_record(200.0, 0, model::FailureType::kPerformance);
   orphan.disk = model::DiskId{};
   records.push_back(orphan);
-  log_ns::LogRecord precursor;  // below the RAID layer: not a terminal
+  log_ns::LogView precursor;  // below the RAID layer: not a terminal
   precursor.time = 120.0;
-  precursor.code = "scsi.cmd.slowResponse";
+  precursor.code_id = log_ns::EventCode::kScsiSlowResponse;
+  precursor.code = log_ns::code_name(precursor.code_id);
   precursor.severity = log_ns::Severity::kWarning;
   precursor.disk = model::DiskId(9);
   precursor.system = model::SystemId(1);

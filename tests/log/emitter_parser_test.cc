@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -27,22 +26,32 @@ namespace model = storsubsim::model;
 
 namespace {
 
-log_ns::EmittableFailure sample_failure(model::FailureType type, double t = 50000.0) {
-  log_ns::EmittableFailure f;
-  f.detect_time = t;
-  f.type = type;
-  f.disk = model::DiskId(123);
-  f.system = model::SystemId(7);
-  f.device_address = "8.24";
-  f.serial = "SN3EL03PAV00";
-  return f;
+log_ns::FailureLineInput sample_failure(model::FailureType type, double t = 50000.0) {
+  return log_ns::FailureLineInput{t, type, model::DiskId(123), model::SystemId(7), "8.24",
+                                  "SN3EL03PAV00"};
+}
+
+/// Emits one failure's chain into `text` and returns its parsed records,
+/// which alias `text`.
+std::vector<log_ns::LogView> emit_and_parse(log_ns::LineWriter& text,
+                                            const log_ns::FailureLineInput& failure) {
+  log_ns::emit_chain(text, failure);
+  std::vector<log_ns::LogView> records;
+  log_ns::parse_text(text.view(), records);
+  return records;
+}
+
+bool parses(std::string_view line) {
+  log_ns::LogView view;
+  return log_ns::parse_line_view(line, view);
 }
 
 }  // namespace
 
 TEST(PropagationChain, MatchesFigure3ForInterconnect) {
+  log_ns::LineWriter text;
   const auto chain =
-      log_ns::propagation_chain(sample_failure(model::FailureType::kPhysicalInterconnect));
+      emit_and_parse(text, sample_failure(model::FailureType::kPhysicalInterconnect));
   ASSERT_EQ(chain.size(), 6u);
   // Exactly the event sequence of the paper's Figure 3.
   EXPECT_EQ(chain[0].code, "fci.device.timeout");
@@ -63,10 +72,11 @@ TEST(PropagationChain, MatchesFigure3ForInterconnect) {
 
 TEST(PropagationChain, EveryTypeEndsAtRaidLayer) {
   for (const auto type : model::kAllFailureTypes) {
-    const auto chain = log_ns::propagation_chain(sample_failure(type));
+    log_ns::LineWriter text;
+    const auto chain = emit_and_parse(text, sample_failure(type));
     ASSERT_GE(chain.size(), 2u) << model::to_string(type);
     EXPECT_EQ(chain.back().layer(), log_ns::Layer::kRaid);
-    const auto terminal_type = log_ns::failure_type_of_code(chain.back().code);
+    const auto terminal_type = log_ns::failure_type_of(chain.back().code_id);
     ASSERT_TRUE(terminal_type.has_value());
     EXPECT_EQ(*terminal_type, type);
     // Precursors are below the RAID layer.
@@ -78,54 +88,69 @@ TEST(PropagationChain, EveryTypeEndsAtRaidLayer) {
 
 TEST(RenderParse, RoundTripsAllFields) {
   for (const auto type : model::kAllFailureTypes) {
-    for (const auto& record : log_ns::propagation_chain(sample_failure(type, 123456.789))) {
-      const auto line = log_ns::render_line(record);
-      const auto parsed = log_ns::parse_line(line);
-      ASSERT_TRUE(parsed.has_value()) << line;
-      EXPECT_NEAR(parsed->time, record.time, 1e-3);
-      EXPECT_EQ(parsed->code, record.code);
-      EXPECT_EQ(parsed->severity, record.severity);
-      EXPECT_EQ(parsed->disk, record.disk);
-      EXPECT_EQ(parsed->system, record.system);
-      EXPECT_EQ(parsed->message, record.message);
+    log_ns::LineWriter text;
+    const auto failure = sample_failure(type, 123456.789);
+    const auto records = emit_and_parse(text, failure);
+    ASSERT_FALSE(records.empty());
+    EXPECT_NEAR(records.back().time, failure.detect_time, 1e-3);
+    std::string_view lines = text.view();
+    for (const auto& record : records) {
+      // Rendering a parsed record gives back the emitted line byte for
+      // byte, and that line parses to the same fields.
+      const std::string_view emitted = lines.substr(0, lines.find('\n'));
+      lines.remove_prefix(emitted.size() + 1);
+      log_ns::LineWriter line;
+      log_ns::render_line_to(line, record);
+      EXPECT_EQ(line.view(), emitted);
+      log_ns::LogView parsed;
+      ASSERT_TRUE(log_ns::parse_line_view(line.view(), parsed)) << line.view();
+      EXPECT_EQ(parsed.time, record.time);
+      EXPECT_EQ(parsed.code, record.code);
+      EXPECT_EQ(parsed.code_id, record.code_id);
+      EXPECT_EQ(parsed.severity, record.severity);
+      EXPECT_EQ(parsed.disk, record.disk);
+      EXPECT_EQ(parsed.system, record.system);
+      EXPECT_EQ(parsed.message, record.message);
+      EXPECT_EQ(parsed.disk, failure.disk);
+      EXPECT_EQ(parsed.system, failure.system);
     }
   }
 }
 
 TEST(RenderParse, InvalidIdsRenderAsDash) {
-  log_ns::LogRecord record;
+  log_ns::LogView record;
   record.time = 10.0;
   record.code = "raid.config.disk.failed";
   record.severity = log_ns::Severity::kError;
   record.message = "orphan event";
-  const auto line = log_ns::render_line(record);
-  EXPECT_NE(line.find("sys=- disk=-"), std::string::npos);
-  const auto parsed = log_ns::parse_line(line);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(parsed->disk.valid());
-  EXPECT_FALSE(parsed->system.valid());
+  log_ns::LineWriter line;
+  log_ns::render_line_to(line, record);
+  EXPECT_NE(line.view().find("sys=- disk=-"), std::string_view::npos);
+  log_ns::LogView parsed;
+  ASSERT_TRUE(log_ns::parse_line_view(line.view(), parsed));
+  EXPECT_FALSE(parsed.disk.valid());
+  EXPECT_FALSE(parsed.system.valid());
 }
 
 TEST(ParseLine, RejectsMalformedLines) {
-  EXPECT_FALSE(log_ns::parse_line("").has_value());
-  EXPECT_FALSE(log_ns::parse_line("console: power button pressed").has_value());
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=abc [x:error] [sys=1 disk=2]: m"));
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=5.0 [no-severity] [sys=1 disk=2]: m"));
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=5.0 [c:error] sys=1 disk=2: m"));
-  EXPECT_FALSE(log_ns::parse_line("D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: m"));
+  EXPECT_FALSE(parses(""));
+  EXPECT_FALSE(parses("console: power button pressed"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=abc [x:error] [sys=1 disk=2]: m"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=5.0 [no-severity] [sys=1 disk=2]: m"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=5.0 [c:error] sys=1 disk=2: m"));
+  EXPECT_FALSE(parses("D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: m"));
 }
 
-TEST(ParseStream, CountsForeignAndMalformed) {
-  std::stringstream text;
-  log_ns::LogEmitter emitter(text);
-  emitter.emit(sample_failure(model::FailureType::kDisk));
-  text << "# a comment line\n";
-  text << "console: operator logged in\n";                        // foreign
-  text << "D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: bad\n"; // malformed
-  text << "\n";
+TEST(ParseText, CountsForeignAndMalformed) {
+  log_ns::LineWriter text;
+  log_ns::emit_chain(text, sample_failure(model::FailureType::kDisk));
+  text.text("# a comment line\n");
+  text.text("console: operator logged in\n");                         // foreign
+  text.text("D0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: bad\n");  // malformed
+  text.text("\n");
 
-  std::vector<log_ns::LogRecord> records;
-  const auto stats = log_ns::parse_stream(text, records);
+  std::vector<log_ns::LogView> records;
+  const auto stats = log_ns::parse_text(text.view(), records);
   EXPECT_EQ(records.size(), 3u);  // disk chain has 3 records
   EXPECT_EQ(stats.lines_parsed, 3u);
   EXPECT_EQ(stats.lines_malformed, 1u);
@@ -133,28 +158,17 @@ TEST(ParseStream, CountsForeignAndMalformed) {
   EXPECT_EQ(stats.lines_total, 7u);
 }
 
-TEST(ParseStream, SurvivesTruncatedLine) {
-  std::stringstream text;
-  log_ns::LogEmitter emitter(text);
-  emitter.emit(sample_failure(model::FailureType::kProtocol));
-  std::string all = text.str();
+TEST(ParseText, SurvivesTruncatedLine) {
+  log_ns::LineWriter text;
+  log_ns::emit_chain(text, sample_failure(model::FailureType::kProtocol));
+  std::string all = text.take();
   // Chop the last line mid-way (simulates a crash during log write).
   all.resize(all.size() - 25);
-  std::stringstream chopped(all);
-  std::vector<log_ns::LogRecord> records;
-  const auto stats = log_ns::parse_stream(chopped, records);
+  std::vector<log_ns::LogView> records;
+  const auto stats = log_ns::parse_text(all, records);
   EXPECT_GE(records.size(), 2u);
   EXPECT_EQ(stats.lines_parsed + stats.lines_malformed + stats.lines_skipped,
             stats.lines_total);
-}
-
-TEST(LogEmitter, CountsLines) {
-  std::stringstream text;
-  log_ns::LogEmitter emitter(text);
-  emitter.emit(sample_failure(model::FailureType::kPhysicalInterconnect));
-  EXPECT_EQ(emitter.lines_written(), 6u);
-  emitter.emit(sample_failure(model::FailureType::kPerformance));
-  EXPECT_EQ(emitter.lines_written(), 9u);
 }
 
 // --- golden format -----------------------------------------------------------
@@ -165,15 +179,9 @@ TEST(LogEmitter, CountsLines) {
 
 namespace {
 
-log_ns::EmittableFailure golden_failure(model::FailureType type) {
-  log_ns::EmittableFailure f;
-  f.detect_time = 123456.789;
-  f.type = type;
-  f.disk = model::DiskId(1873);
-  f.system = model::SystemId(41);
-  f.device_address = "8.24";
-  f.serial = "SN3EL03PAV00";
-  return f;
+log_ns::FailureLineInput golden_failure(model::FailureType type) {
+  return log_ns::FailureLineInput{123456.789, type, model::DiskId(1873), model::SystemId(41),
+                                  "8.24", "SN3EL03PAV00"};
 }
 
 struct GoldenChain {
@@ -225,25 +233,11 @@ const std::vector<GoldenChain>& golden_chains() {
 
 }  // namespace
 
-TEST(GoldenFormat, RecordPathRendersExactBytes) {
-  for (const auto& golden : golden_chains()) {
-    const auto chain = log_ns::propagation_chain(golden_failure(golden.type));
-    ASSERT_EQ(chain.size(), golden.lines.size()) << model::to_string(golden.type);
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      EXPECT_EQ(log_ns::render_line(chain[i]), golden.lines[i])
-          << model::to_string(golden.type) << " line " << i;
-    }
-  }
-}
-
 TEST(GoldenFormat, BufferPathRendersExactBytes) {
   log_ns::LineWriter out;  // reused across chains, like the pipeline does
   for (const auto& golden : golden_chains()) {
-    const auto f = golden_failure(golden.type);
     out.clear();
-    const auto lines = log_ns::emit_chain(
-        out, log_ns::FailureLineInput{f.detect_time, f.type, f.disk, f.system,
-                                      f.device_address, f.serial});
+    const auto lines = log_ns::emit_chain(out, golden_failure(golden.type));
     EXPECT_EQ(lines, golden.lines.size());
     std::string expected;
     for (const char* line : golden.lines) {
@@ -315,58 +309,25 @@ TEST(GoldenFormat, FullFleetLogAndSnapshotDigest) {
 TEST(ParseLine, AttributeKeysDoNotMatchInsideLongerKeys) {
   // "sys=" must not match the tail of "subsys=", nor "disk=" the tail of
   // "mydisk=" (regression: the parser used to take the first substring hit).
-  const auto parsed = log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [subsys=9 sys=1 mydisk=7 disk=2]: m");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->system, model::SystemId(1));
-  EXPECT_EQ(parsed->disk, model::DiskId(2));
+  log_ns::LogView parsed;
+  ASSERT_TRUE(log_ns::parse_line_view(
+      "D0000 00:00:05 t=5.0 [c:error] [subsys=9 sys=1 mydisk=7 disk=2]: m", parsed));
+  EXPECT_EQ(parsed.system, model::SystemId(1));
+  EXPECT_EQ(parsed.disk, model::DiskId(2));
 }
 
 TEST(ParseLine, SuffixOnlyAttributeKeysAreMissingAttributes) {
   // With only "subsys="/"mydisk=" present, the record has no sys/disk
   // attributes at all and must be rejected, not silently misread.
-  EXPECT_FALSE(log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [subsys=9 mydisk=7]: m").has_value());
+  EXPECT_FALSE(parses("D0000 00:00:05 t=5.0 [c:error] [subsys=9 mydisk=7]: m"));
 }
 
 TEST(ParseLine, MalformedAttributeValuesAreRejected) {
-  EXPECT_FALSE(log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [sys= disk=2]: m").has_value());
-  EXPECT_FALSE(log_ns::parse_line(
-      "D0000 00:00:05 t=5.0 [c:error] [sys=x disk=2]: m").has_value());
+  EXPECT_FALSE(parses("D0000 00:00:05 t=5.0 [c:error] [sys= disk=2]: m"));
+  EXPECT_FALSE(parses("D0000 00:00:05 t=5.0 [c:error] [sys=x disk=2]: m"));
 }
 
-// --- view-based fast path ----------------------------------------------------
-
-TEST(ParseText, MatchesParseStreamExactly) {
-  std::stringstream stream_text;
-  log_ns::LogEmitter emitter(stream_text);
-  for (const auto type : model::kAllFailureTypes) emitter.emit(sample_failure(type));
-  std::string text = stream_text.str();
-  text += "# comment\nconsole: noise\nD0000 00:00:01 t=5.0 [c:fatal] [sys=1 disk=2]: bad\n";
-
-  std::vector<log_ns::LogView> views;
-  const auto view_stats = log_ns::parse_text(text, views);
-  std::stringstream in(text);
-  std::vector<log_ns::LogRecord> records;
-  const auto record_stats = log_ns::parse_stream(in, records);
-
-  EXPECT_EQ(view_stats.lines_total, record_stats.lines_total);
-  EXPECT_EQ(view_stats.lines_parsed, record_stats.lines_parsed);
-  EXPECT_EQ(view_stats.lines_skipped, record_stats.lines_skipped);
-  EXPECT_EQ(view_stats.lines_malformed, record_stats.lines_malformed);
-  ASSERT_EQ(views.size(), records.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    EXPECT_EQ(views[i].time, records[i].time);
-    EXPECT_EQ(views[i].code, records[i].code);
-    EXPECT_EQ(views[i].severity, records[i].severity);
-    EXPECT_EQ(views[i].disk, records[i].disk);
-    EXPECT_EQ(views[i].system, records[i].system);
-    EXPECT_EQ(views[i].message, records[i].message);
-    // The interned id round-trips to the same code spelling.
-    EXPECT_EQ(log_ns::code_name(views[i].code_id), views[i].code);
-  }
-}
+// --- whole-buffer parsing ----------------------------------------------------
 
 TEST(ParseText, ViewsAliasTheSourceBuffer) {
   const std::string text =

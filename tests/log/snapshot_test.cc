@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,9 +41,9 @@ TEST(Snapshot, RoundTripMatchesDirectInventory) {
   const double deploy = fleet.system(fleet.shelves()[0].system).deploy_time;
   fleet.replace_disk(disk, deploy + 5000.0, deploy + 9000.0);
 
-  std::stringstream text;
+  log_ns::LineWriter text;
   log_ns::write_snapshot(text, fleet);
-  const auto parsed = log_ns::parse_snapshot(text);
+  const auto parsed = log_ns::parse_snapshot(text.view());
   ASSERT_TRUE(parsed.ok()) << parsed.error;
 
   const auto direct = log_ns::inventory_from_fleet(fleet);
@@ -92,26 +91,25 @@ TEST(Snapshot, ExposureMatchesFleet) {
 }
 
 TEST(Snapshot, MissingHeaderRejected) {
-  std::stringstream text("SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 "
-                         "shelf-model=A deploy=0.0 cohort=0\nEND\n");
+  const std::string text("SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 "
+                          "shelf-model=A deploy=0.0 cohort=0\nEND\n");
   const auto parsed = log_ns::parse_snapshot(text);
   EXPECT_FALSE(parsed.ok());
 }
 
 TEST(Snapshot, MissingEndRejected) {
   const auto fleet = test_fleet();
-  std::stringstream text;
+  log_ns::LineWriter text;
   log_ns::write_snapshot(text, fleet);
-  std::string s = text.str();
+  std::string s = text.take();
   s.resize(s.size() - 4);  // drop "END\n"
-  std::stringstream chopped(s);
-  const auto parsed = log_ns::parse_snapshot(chopped);
+  const auto parsed = log_ns::parse_snapshot(s);
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error.find("END"), std::string::npos);
 }
 
 TEST(Snapshot, CorruptFieldRejectedWithLineNumber) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "SYSTEM id=0 class=warp-core paths=single-path disk-model=A-2 shelf-model=A "
       "deploy=0.0 cohort=0\n"
@@ -122,7 +120,7 @@ TEST(Snapshot, CorruptFieldRejectedWithLineNumber) {
 }
 
 TEST(Snapshot, NonDenseIdsRejected) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "SYSTEM id=5 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
       "deploy=0.0 cohort=0\n"
@@ -133,7 +131,7 @@ TEST(Snapshot, NonDenseIdsRejected) {
 }
 
 TEST(Snapshot, DanglingReferenceRejected) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
       "deploy=0.0 cohort=0\n"
@@ -145,7 +143,7 @@ TEST(Snapshot, DanglingReferenceRejected) {
 }
 
 TEST(Snapshot, UnknownRecordTypeRejected) {
-  std::stringstream text(
+  const std::string text(
       "SNAPSHOT horizon=1000.0\n"
       "FLUX id=0 capacitance=1.21\n"
       "END\n");
@@ -155,7 +153,7 @@ TEST(Snapshot, UnknownRecordTypeRejected) {
 }
 
 TEST(Snapshot, CommentsAndBlankLinesIgnored) {
-  std::stringstream text(
+  const std::string text(
       "# generated by storsubsim\n"
       "\n"
       "SNAPSHOT horizon=1000.0\n"
@@ -163,6 +161,41 @@ TEST(Snapshot, CommentsAndBlankLinesIgnored) {
   const auto parsed = log_ns::parse_snapshot(text);
   EXPECT_TRUE(parsed.ok()) << parsed.error;
   EXPECT_TRUE(parsed.inventory.systems.empty());
+}
+
+TEST(Snapshot, KeysMatchWholeTokensFirstWins) {
+  // Keys in any order parse, a repeated key takes its first value, and
+  // "model=" is never read out of "disk-model=" or "shelf-model=".
+  const auto parsed = log_ns::parse_snapshot(
+      "SNAPSHOT horizon=1000.0\n"
+      "SYSTEM cohort=4 deploy=0.0 shelf-model=A disk-model=A-2 paths=single-path "
+      "class=low-end id=0 class=high-end\n"
+      "SHELF shelf-model=B model=A sys=0 id=0\n"
+      "DISK disk-model=B-1 remove=inf install=0.0 slot=3 group=- shelf=0 sys=0 "
+      "model=A-2 id=0 id=7\n"
+      "END\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const auto& inv = parsed.inventory;
+  ASSERT_EQ(inv.systems.size(), 1u);
+  EXPECT_EQ(inv.systems[0].cls, model::SystemClass::kLowEnd);
+  EXPECT_EQ(inv.systems[0].cohort, 4u);
+  ASSERT_EQ(inv.shelves.size(), 1u);
+  EXPECT_EQ(model::to_string(inv.shelves[0].model), "A");
+  ASSERT_EQ(inv.disks.size(), 1u);
+  EXPECT_EQ(model::to_string(inv.disks[0].model), "A-2");
+  EXPECT_EQ(inv.disks[0].slot, 3u);
+  EXPECT_FALSE(inv.disks[0].raid_group.valid());
+
+  // A key with no '=' is missing, as is a key that only ends a longer one.
+  const std::string system_line =
+      "SYSTEM id=0 class=low-end paths=single-path disk-model=A-2 shelf-model=A "
+      "deploy=0.0 cohort=0\n";
+  for (const char* shelf : {"SHELF id=0 sys=0 model\n", "SHELF id=0 sys=0 shelf-model=A\n"}) {
+    const auto rejected =
+        log_ns::parse_snapshot("SNAPSHOT horizon=1000.0\n" + system_line + shelf + "END\n");
+    EXPECT_FALSE(rejected.ok()) << shelf;
+    EXPECT_NE(rejected.error.find("bad SHELF record"), std::string::npos) << rejected.error;
+  }
 }
 
 // --- line-range slices ------------------------------------------------------

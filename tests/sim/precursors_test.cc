@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "log/codes.h"
+#include "log/line_writer.h"
 #include "log/parser.h"
 #include "sim/log_bridge.h"
 #include "sim/scenario.h"
@@ -130,7 +132,7 @@ TEST(PrecursorCodes, RoundTrip) {
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, kind);
     // Precursor codes must never classify as failures.
-    EXPECT_FALSE(storsubsim::log::failure_type_of_code(code).has_value());
+    EXPECT_FALSE(storsubsim::log::failure_type_of(storsubsim::log::code_id(code)).has_value());
   }
   EXPECT_FALSE(sim::precursor_kind_of_code("raid.config.disk.failed").has_value());
 }
@@ -144,12 +146,12 @@ TEST(PrecursorLogs, WriteParseExtractRoundTrip) {
   const auto events = sim::generate_precursors(fs.fleet, fs.result, params);
   ASSERT_FALSE(events.empty());
 
-  std::stringstream text;
+  storsubsim::log::LineWriter text;
   const auto lines = sim::write_precursor_logs(text, fs.fleet, events);
   EXPECT_EQ(lines, events.size());
 
-  std::vector<storsubsim::log::LogRecord> records;
-  const auto stats = storsubsim::log::parse_stream(text, records);
+  std::vector<storsubsim::log::LogView> records;
+  const auto stats = storsubsim::log::parse_text(text.view(), records);
   EXPECT_EQ(stats.lines_parsed, events.size());
 
   const auto recovered = sim::extract_precursors(records);

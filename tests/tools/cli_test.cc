@@ -1,6 +1,6 @@
 // End-to-end test of the storsubsim CLI binary: simulate writes log +
 // snapshot files, analyze and predict consume them. Exercises the file-based
-// path (everything else in the suite uses in-memory streams).
+// path (everything else in the suite uses in-memory buffers).
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -14,6 +14,12 @@
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "log/line_writer.h"
+#include "log/snapshot.h"
+#include "sim/log_bridge.h"
+#include "sim/precursors.h"
+#include "sim/scenario.h"
 
 #ifndef STORSUBSIM_CLI_PATH
 #error "STORSUBSIM_CLI_PATH must be defined by the build"
@@ -56,6 +62,13 @@ class CliTest : public ::testing::Test {
 std::string CliTest::logs_path_;
 std::string CliTest::snap_path_;
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 }  // namespace
 
 TEST_F(CliTest, SimulateProducesParsableFiles) {
@@ -70,6 +83,28 @@ TEST_F(CliTest, SimulateProducesParsableFiles) {
   std::string header;
   std::getline(snap, header);
   EXPECT_EQ(header.rfind("SNAPSHOT ", 0), 0u);
+}
+
+TEST_F(CliTest, SimulateWritesTheLibraryBufferBytes) {
+  // The fixture's files hold exactly what the library renders into a
+  // LineWriter for the same run (scale 0.01, seed 4, --precursors): the
+  // failure chains then the precursor lines, and the snapshot.
+  namespace sim = storsubsim::sim;
+  const auto fs = sim::run_standard(0.01, 4);
+  storsubsim::log::LineWriter logs;
+  sim::write_failure_logs(logs, fs.fleet, fs.result.failures);
+  sim::write_precursor_logs(
+      logs, fs.fleet,
+      sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard()));
+  const std::string log_file = read_file(logs_path_);
+  EXPECT_EQ(log_file.size(), logs.size());
+  EXPECT_TRUE(log_file == logs.view());
+
+  storsubsim::log::LineWriter snapshot;
+  storsubsim::log::write_snapshot(snapshot, fs.fleet);
+  const std::string snap_file = read_file(snap_path_);
+  EXPECT_EQ(snap_file.size(), snapshot.size());
+  EXPECT_TRUE(snap_file == snapshot.view());
 }
 
 TEST_F(CliTest, AnalyzeAfr) {

@@ -4,17 +4,17 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (617 cases: unit/integration tests, the storsim_lint fixture
+#   2. ctest (615 cases: unit/integration tests, the storsim_lint fixture
 #      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
 #      cases).
 #      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
 #      and snapshot bytes and checks that classification recovers the
 #      simulated failures one by one; StoreGolden.FullScaleImageDigest pins
 #      the full-scale store image
-#   3. storsim_lint --check over src/ bench/ tests/ (redundant with the ctest
-#      gate, but run standalone so its report is printed even when ctest is
-#      filtered down with extra args); also emits build/lint-report.json,
-#      the --format=json report CI consumes
+#   3. storsim_lint --check over src/ bench/ tests/ tools/storsubsim_cli.cc
+#      examples/ (redundant with the ctest gate, but run standalone so its
+#      report is printed even when ctest is filtered down with extra args);
+#      also emits build/lint-report.json, the --format=json report CI consumes
 #   4. store round-trip at full scale: store_bench simulates the paper-scale
 #      fleet, serializes it, and asserts the mmap+query rerun reproduces the
 #      AFR breakdown bit for bit (docs/STORE.md); `store build --threads 1`
@@ -71,9 +71,9 @@ ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 echo "== [3/11] storsim_lint =="
 # Emit the machine-readable report first (it must exist even when the gate
 # below fails, so CI can surface the findings), then run the human gate.
-./build/tools/storsim_lint --format=json --root . src bench tests \
-  > build/lint-report.json || true
-./build/tools/storsim_lint --check --root . src bench tests
+./build/tools/storsim_lint --format=json --root . src bench tests tools/storsubsim_cli.cc \
+  examples > build/lint-report.json || true
+./build/tools/storsim_lint --check --root . src bench tests tools/storsubsim_cli.cc examples
 echo "machine-readable report: build/lint-report.json"
 
 echo "== [4/11] store round-trip (full scale) + corruption smoke =="

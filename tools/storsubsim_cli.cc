@@ -43,6 +43,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -56,14 +57,14 @@
 #include "core/analysis_request.h"
 #include "core/burstiness.h"
 #include "core/correlation.h"
+#include "core/pipeline.h"
 #include "core/prediction.h"
 #include "core/raid_vulnerability.h"
 #include "core/report.h"
 #include "core/sharded_build.h"
 #include "core/source.h"
 #include "core/store_bridge.h"
-#include "log/classifier.h"
-#include "log/parser.h"
+#include "log/line_writer.h"
 #include "log/snapshot.h"
 #include "model/fleet_config.h"
 #include "model/time.h"
@@ -203,18 +204,32 @@ int cmd_simulate(const Args& args) {
     std::cerr << "cannot write " << log_path << "\n";
     return 1;
   }
-  std::size_t lines = sim::write_failure_logs(logs, fs.fleet, fs.result.failures);
+  // Render in batches of events, so the buffer stays small however long
+  // the log gets (a full-scale log with precursors runs to ~2 GB).
+  log::LineWriter text;
+  std::size_t lines = 0;
+  auto write_batched = [&](auto events, auto write) {
+    constexpr std::size_t kBatch = 1 << 14;
+    for (std::size_t i = 0; i < events.size(); i += kBatch) {
+      text.clear();
+      lines += write(text, fs.fleet, events.subspan(i, std::min(kBatch, events.size() - i)));
+      logs << text.view();
+    }
+  };
+  write_batched(std::span<const sim::SimFailure>(fs.result.failures), sim::write_failure_logs);
   if (args.has_flag("precursors")) {
     const auto precursors =
         sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard());
-    lines += sim::write_precursor_logs(logs, fs.fleet, precursors);
+    write_batched(std::span<const sim::PrecursorEvent>(precursors), sim::write_precursor_logs);
   }
   std::ofstream snap(snap_path);
   if (!snap) {
     std::cerr << "cannot write " << snap_path << "\n";
     return 1;
   }
-  log::write_snapshot(snap, fs.fleet);
+  text.clear();
+  log::write_snapshot(text, fs.fleet);
+  snap << text.view();
 
   std::cerr << "wrote " << lines << " log lines to " << log_path << " and "
             << fs.fleet.systems().size() << "-system snapshot to " << snap_path << "\n";
@@ -244,60 +259,75 @@ bool wants_filter(const Args& args) {
   return args.has_flag("exclude-h") || !args.get("class").empty();
 }
 
-/// The one log + snapshot loader: reads, parses and classifies both files
-/// into a dataset plus the pipeline counters a store header records (no
-/// simulator ran, so its counters stay zero). Leaves the parsed records in
-/// `*records_out` when it is set and prints the parse summary when
-/// `echo_parse`; nullopt, with the error printed, when a file does not read.
-std::optional<core::SimulationDataset> load_logs(
-    const std::string& log_path, const std::string& snap_path, bool echo_parse,
-    std::vector<log::LogRecord>* records_out = nullptr) {
-  std::ifstream logs(log_path);
-  if (!logs) {
-    std::cerr << "cannot read " << log_path << "\n";
+/// The whole of the file at `path`, or nullopt (with the error printed)
+/// when it does not open. Views parsed from the string must not outlive it.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "cannot read " << path << "\n";
     return std::nullopt;
   }
-  std::vector<log::LogRecord> records;
-  const auto parse_stats = log::parse_stream(logs, records);
-  if (echo_parse) {
-    std::cerr << "parsed " << parse_stats.lines_parsed << "/" << parse_stats.lines_total
-              << " log lines (" << parse_stats.lines_malformed << " malformed)\n";
+  std::string text;
+  char chunk[1 << 16];
+  while (in) {
+    in.read(chunk, sizeof(chunk));
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
+  return text;
+}
 
-  std::ifstream snap(snap_path);
-  if (!snap) {
-    std::cerr << "cannot read " << snap_path << "\n";
-    return std::nullopt;
-  }
-  auto snapshot = log::parse_snapshot(snap);
+/// Reads and parses a snapshot file; nullopt, with the error printed, when
+/// it does not read or parse.
+std::optional<log::Inventory> load_snapshot(const std::string& snap_path) {
+  const auto text = read_file(snap_path);
+  if (!text) return std::nullopt;
+  auto snapshot = log::parse_snapshot(*text);
   if (!snapshot.ok()) {
     std::cerr << "snapshot error: " << snapshot.error << "\n";
     return std::nullopt;
   }
+  return std::move(snapshot.inventory);
+}
 
-  log::ClassifierStats classifier;
-  auto failures = log::classify(records, {}, &classifier);
+/// The one log + snapshot loader: reads, parses and classifies both files
+/// into a dataset plus the pipeline counters a store header records (no
+/// simulator ran, so its counters stay zero). Recovers the precursor events
+/// into `*precursors_out` when it is set, while the log text is still alive,
+/// and prints the parse summary when `echo_parse`; nullopt, with the error
+/// printed, when a file does not read.
+std::optional<core::SimulationDataset> load_logs(
+    const std::string& log_path, const std::string& snap_path, bool echo_parse,
+    std::vector<sim::PrecursorEvent>* precursors_out = nullptr) {
   core::PipelineStats pipeline;
-  pipeline.log_lines_written = parse_stats.lines_total;
-  pipeline.log_lines_parsed = parse_stats.lines_parsed;
-  pipeline.raid_records = classifier.raid_records;
-  pipeline.failures_classified = failures.size();
-  pipeline.duplicates_dropped = classifier.duplicates_dropped;
-  pipeline.missing_disk_dropped = classifier.missing_disk_dropped;
-  if (records_out != nullptr) *records_out = std::move(records);
+  std::vector<core::FailureEvent> failures;
+  {
+    const auto text = read_file(log_path);
+    if (!text) return std::nullopt;
+    core::ClassifiedLog read = core::parse_and_classify(*text, pipeline);
+    if (echo_parse) {
+      std::cerr << "parsed " << read.parse.lines_parsed << "/" << read.parse.lines_total
+                << " log lines (" << read.parse.lines_malformed << " malformed)\n";
+    }
+    pipeline.log_lines_written = read.parse.lines_total;
+    if (precursors_out != nullptr) *precursors_out = sim::extract_precursors(read.records);
+    failures = std::move(read.failures);
+  }
+
+  auto inventory = load_snapshot(snap_path);
+  if (!inventory) return std::nullopt;
   return core::SimulationDataset{
-      core::Dataset(std::make_shared<log::Inventory>(std::move(snapshot.inventory)),
+      core::Dataset(std::make_shared<log::Inventory>(std::move(*inventory)),
                     std::move(failures)),
       sim::SimCounters{}, pipeline};
 }
 
 std::optional<core::Dataset> load_dataset(const Args& args,
-                                          std::vector<log::LogRecord>* records_out,
+                                          std::vector<sim::PrecursorEvent>* precursors_out,
                                           std::string log_path = "") {
   if (log_path.empty()) log_path = args.get("logs");
   const std::string snap_path = args.get("snapshot");
   if (log_path.empty() || snap_path.empty()) return std::nullopt;
-  const auto loaded = load_logs(log_path, snap_path, /*echo_parse=*/true, records_out);
+  const auto loaded = load_logs(log_path, snap_path, /*echo_parse=*/true, precursors_out);
   if (!loaded) return std::nullopt;
   return apply_cli_filter(loaded->dataset, args);
 }
@@ -432,18 +462,9 @@ int cmd_inspect(const Args& args) {
   // Fleet overview from a snapshot alone (no failure logs needed).
   const std::string snap_path = args.get("snapshot");
   if (snap_path.empty()) return usage();
-  std::ifstream snap(snap_path);
-  if (!snap) {
-    std::cerr << "cannot read " << snap_path << "\n";
-    return 1;
-  }
-  auto snapshot = log::parse_snapshot(snap);
-  if (!snapshot.ok()) {
-    std::cerr << "snapshot error: " << snapshot.error << "\n";
-    return 1;
-  }
-  const core::Dataset dataset(
-      std::make_shared<log::Inventory>(std::move(snapshot.inventory)), {});
+  auto inventory = load_snapshot(snap_path);
+  if (!inventory) return 1;
+  const core::Dataset dataset(std::make_shared<log::Inventory>(std::move(*inventory)), {});
 
   core::TextTable table({"class", "systems", "shelves", "RAID groups", "disk records",
                          "disk-years", "dual-path systems"});
@@ -483,10 +504,9 @@ int cmd_inspect(const Args& args) {
 }
 
 int cmd_predict(const Args& args) {
-  std::vector<log::LogRecord> records;
-  const auto dataset = load_dataset(args, &records);
+  std::vector<sim::PrecursorEvent> precursors;
+  const auto dataset = load_dataset(args, &precursors);
   if (!dataset) return usage();
-  const auto precursors = sim::extract_precursors(records);
   if (precursors.empty()) {
     std::cerr << "no component-error records in the logs — simulate with --precursors\n";
     return 1;
