@@ -203,14 +203,6 @@ std::size_t emit_chain(LineWriter& out, const FailureLineInput& f) {
   return steps.size();
 }
 
-std::string render_timestamp(double sim_seconds) {
-  // Render as day/hh:mm:ss offsets from study start; analysis parses the raw
-  // seconds attribute instead, so this is purely cosmetic.
-  LineWriter out;
-  out.timestamp(sim_seconds);
-  return out.take();
-}
-
 void render_line_to(LineWriter& out, const LogView& r) {
   char id_buf[48];
   out.timestamp(r.time).text(" t=").fixed3(r.time);

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <string_view>
 
 #include "log/line_writer.h"
@@ -50,8 +49,5 @@ std::size_t emit_chain(LineWriter& out, const FailureLineInput& failure);
 /// For any line this library wrote, `parse_line_view` then `render_line_to`
 /// gives the same bytes back.
 void render_line_to(LineWriter& out, const LogView& record);
-
-/// Cosmetic day/time-of-day rendering of a sim timestamp ("D0001 10:17:36").
-std::string render_timestamp(double sim_seconds);
 
 }  // namespace storsubsim::log

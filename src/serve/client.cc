@@ -56,28 +56,16 @@ store::Error Client::call(std::string_view request_body, std::string* response_b
     close();
     return errno_error("cannot write request frame");
   }
-  switch (read_frame(fd_, response_body)) {
-    case FrameStatus::kOk:
-      return store::Error{};
-    case FrameStatus::kClosed:
-      close();
-      return store::make_error(store::ErrorCode::kIo,
-                               "daemon closed the connection", 0);
-    case FrameStatus::kTruncated:
-      close();
-      return store::make_error(store::ErrorCode::kTruncated,
-                               "truncated response frame", 0);
-    case FrameStatus::kOversized:
-      close();
-      return store::make_error(store::ErrorCode::kBadValue,
-                               "oversized response frame", 0);
-    case FrameStatus::kIoError:
-    default: {
-      store::Error err = errno_error("cannot read response frame");
-      close();
-      return err;
-    }
+  const FrameStatus status = read_frame(fd_, response_body);
+  if (status == FrameStatus::kOk) return store::Error{};
+  close();
+  if (status == FrameStatus::kClosed) {
+    return store::make_error(store::ErrorCode::kIo, "daemon closed the connection", 0);
   }
+  if (status == FrameStatus::kOversized) {
+    return store::make_error(store::ErrorCode::kBadValue, "oversized response frame", 0);
+  }
+  return store::make_error(store::ErrorCode::kTruncated, "truncated response frame", 0);
 }
 
 store::Error Client::request(const Request& request, Response* response) {

@@ -1,9 +1,12 @@
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <cerrno>
-#include <condition_variable>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -20,8 +23,10 @@ namespace storsubsim::serve {
 
 namespace {
 
-/// Seconds a blocked mid-frame read waits before the connection is treated
-/// as dead (SO_RCVTIMEO backstop — the poll loop handles the idle case).
+/// Seconds a frame may take to arrive whole, counted from when the loop
+/// starts waiting for it; past that the peer gets `bad-frame` and is
+/// closed. Also the send timeout that bounds a worker's write to a peer
+/// that never reads.
 constexpr long kReadTimeoutSeconds = 30;
 
 [[nodiscard]] store::Error errno_error(std::string_view what) {
@@ -30,12 +35,15 @@ constexpr long kReadTimeoutSeconds = 30;
   return store::make_error(store::ErrorCode::kIo, detail, 0);
 }
 
-/// Best-effort error frame on a connection that closes right after; a
-/// failed send means the peer is already gone, which the close handles.
-void send_error(int fd, std::string_view code, std::string_view message) {
-  if (!write_frame(fd, render_error_response(code, message))) {
-    return;
+/// Closes a connection, first answering it with a typed error when `code`
+/// is set: non-blocking and best effort, so a peer that is not reading
+/// loses the frame but never stalls the loop.
+void close_connection(int& fd, std::string_view code = {}, std::string_view message = {}) {
+  if (!code.empty()) {
+    static_cast<void>(write_frame(fd, render_error_response(code, message), MSG_DONTWAIT));
   }
+  ::close(fd);
+  fd = -1;
 }
 
 /// Unpins every shard on scope exit, exception-safe (an analysis endpoint
@@ -49,30 +57,20 @@ struct PinAllGuard {
 
 }  // namespace
 
-Daemon::~Daemon() {
-  request_drain();
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> guard(connections_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& t : conns) t.join();
-  close_fds();
-}
+/// One accepted connection, owned by the poll loop. While `busy`, a pool
+/// worker holds it (answering one frame), so it is out of the poll set and
+/// the loop neither reads from nor closes it.
+struct Daemon::Connection {
+  int fd = -1;
+  std::string in;         ///< received bytes not yet dispatched
+  double deadline = 0.0;  ///< when the partial frame in `in` is stale
+  bool busy = false;
+};
 
-void Daemon::close_fds() noexcept {
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(options_.socket_path.c_str());
-  }
-  if (drain_read_fd_ >= 0) {
-    ::close(drain_read_fd_);
-    drain_read_fd_ = -1;
-  }
-  if (drain_write_fd_ >= 0) {
-    ::close(drain_write_fd_);
-    drain_write_fd_ = -1;
+Daemon::~Daemon() {
+  if (listen_fd_ >= 0) ::unlink(options_.socket_path.c_str());
+  for (const int fd : {listen_fd_, drain_read_fd_, drain_write_fd_}) {
+    if (fd >= 0) ::close(fd);
   }
 }
 
@@ -113,8 +111,12 @@ store::Error Daemon::start(const ServeOptions& options) {
   pool_ = std::make_unique<util::ThreadPool>(
       options.threads != 0 ? options.threads : util::thread_count());
 
+  // Non-blocking both ways: the loop empties the pipe without blocking, and
+  // neither a signal handler nor a worker ever blocks writing to it.
   int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) return errno_error("cannot create drain pipe");
+  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    return errno_error("cannot create drain pipe");
+  }
   drain_read_fd_ = pipe_fds[0];
   drain_write_fd_ = pipe_fds[1];
 
@@ -141,38 +143,99 @@ store::Error Daemon::start(const ServeOptions& options) {
 }
 
 store::Error Daemon::serve() {
+  std::vector<Connection> conns;
+  std::vector<pollfd> fds;
+  std::vector<std::pair<int, bool>> finished;
+  store::Error error;
+  bool drain = false;
+  char chunk[16384];
   for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {drain_read_fd_, POLLIN, 0}};
-    const int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      draining_.store(true);
-      return errno_error("poll on listen socket");
+    // The poll set: the self-pipe, the listen socket until the drain (poll
+    // skips a negative fd), and every connection no worker holds — fds[2 + i]
+    // is conns[i]. The earliest partial-frame deadline bounds the wait.
+    fds.assign({{drain_read_fd_, POLLIN, 0}, {listen_fd_, POLLIN, 0}});
+    double earliest = std::numeric_limits<double>::infinity();
+    for (const Connection& conn : conns) {
+      fds.push_back({conn.busy ? -1 : conn.fd, POLLIN, 0});
+      if (!conn.busy && !conn.in.empty()) earliest = std::min(earliest, conn.deadline);
     }
-    if ((fds[1].revents & POLLIN) != 0) break;  // drain requested
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int conn = ::accept(listen_fd_, nullptr, nullptr);
-    if (conn < 0) continue;  // EINTR / peer vanished between poll and accept
-    timeval tv{};
-    tv.tv_sec = kReadTimeoutSeconds;
-    (void)::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    std::lock_guard<std::mutex> guard(connections_mutex_);
-    connections_.emplace_back([this, conn] { connection_loop(conn); });
+    // Rounded up, so the loop never wakes before the deadline; -1 waits forever.
+    const double wait_ms = std::ceil((earliest - obs::now_seconds()) * 1e3);
+    const int n = ::poll(fds.data(), fds.size(),
+                         wait_ms > 1e9 ? -1 : static_cast<int>(std::max(wait_ms, 0.0)));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && error.ok()) error = errno_error("poll on the daemon's sockets");
+    drain = drain || n < 0;
+    const double now = obs::now_seconds();
+
+    // Self-pipe: wake bytes announce finished requests, any other byte is a
+    // drain. After a poll error it is read blindly, so in-flight requests
+    // still come back.
+    if (n < 0 || (fds[0].revents & POLLIN) != 0) {
+      char bytes[64];
+      ssize_t got = sizeof(bytes);
+      while (got == sizeof(bytes) && (got = ::read(drain_read_fd_, bytes, sizeof(bytes))) > 0) {
+        drain = drain || std::any_of(bytes, bytes + got, [](char b) { return b != kWakeByte; });
+      }
+      {
+        const std::lock_guard<std::mutex> guard(finished_mutex_);
+        finished.swap(finished_);
+      }
+      for (const auto& [fd, write_ok] : finished) {
+        Connection& conn = *std::find_if(conns.begin(), conns.end(),
+                                         [fd](const Connection& c) { return c.fd == fd; });
+        // A frame that arrived meanwhile goes out now, without waiting for
+        // another POLLIN; a partial one gets a fresh deadline.
+        conn.busy = false;
+        conn.deadline = now + kReadTimeoutSeconds;
+        write_ok ? dispatch_buffered(conn) : close_connection(conn.fd);
+      }
+      finished.clear();
+    }
+    if (drain && listen_fd_ >= 0) {  // stop accepting first
+      draining_.store(true);
+      ::close(listen_fd_);
+      listen_fd_ = -1;
+      ::unlink(options_.socket_path.c_str());
+    }
+
+    // Every connection no worker holds: read what arrived and dispatch a
+    // whole frame; then a partial frame that is stale, or any connection
+    // during the drain, is answered or closed.
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      Connection& conn = conns[i];
+      if (!conn.busy && conn.fd >= 0 &&
+          (fds[2 + i].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        const ssize_t got = ::recv(conn.fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+        if (got > 0) {
+          if (conn.in.empty()) conn.deadline = now + kReadTimeoutSeconds;
+          conn.in.append(chunk, static_cast<std::size_t>(got));
+          dispatch_buffered(conn);
+        } else if (got == 0 && !conn.in.empty()) {
+          close_connection(conn.fd, "bad-frame", "truncated frame");
+        } else if (got == 0 || (errno != EAGAIN && errno != EINTR)) {
+          close_connection(conn.fd);  // clean EOF on a frame boundary, or the peer is gone
+        }
+      }
+      if (conn.busy || conn.fd < 0) continue;
+      if (drain) {  // mid-frame, the peer is told why
+        close_connection(conn.fd, conn.in.empty() ? "" : "draining", "daemon is draining");
+      } else if (!conn.in.empty() && now >= conn.deadline) {
+        close_connection(conn.fd, "bad-frame", "frame stalled past the read timeout");
+      }
+    }
+    std::erase_if(conns, [](const Connection& c) { return c.fd < 0; });
+    if (drain && conns.empty()) return error;
+
+    if (listen_fd_ >= 0 && (fds[1].revents & POLLIN) != 0) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd >= 0) {  // else EINTR / the peer vanished between poll and accept
+        const timeval tv{kReadTimeoutSeconds, 0};
+        (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+        conns.push_back(Connection{fd, {}, 0.0, false});
+      }
+    }
   }
-  draining_.store(true);
-  // Stop accepting first (close + unlink), then let in-flight requests
-  // finish: the drain pipe stays readable, so every idle connection's poll
-  // wakes; busy connections complete their current request before looking.
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::unlink(options_.socket_path.c_str());
-  std::vector<std::thread> conns;
-  {
-    std::lock_guard<std::mutex> guard(connections_mutex_);
-    conns.swap(connections_);
-  }
-  for (auto& t : conns) t.join();
-  return store::Error{};
 }
 
 void Daemon::request_drain() noexcept {
@@ -180,58 +243,33 @@ void Daemon::request_drain() noexcept {
   if (drain_write_fd_ >= 0) {
     const char byte = 'd';
     const ssize_t rc = ::write(drain_write_fd_, &byte, 1);
-    static_cast<void>(rc);  // pipe full means a drain is already signaled
+    static_cast<void>(rc);  // pipe full means the loop is already awake
   }
 }
 
-void Daemon::connection_loop(int fd) {
-  std::string body;
-  for (;;) {
-    pollfd fds[2] = {{fd, POLLIN, 0}, {drain_read_fd_, POLLIN, 0}};
-    const int n = ::poll(fds, 2, -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    const bool frame_ready = (fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-    if (!frame_ready) {
-      if ((fds[1].revents & POLLIN) != 0) break;  // draining and idle: close
-      continue;
-    }
-    const FrameStatus status = read_frame(fd, &body);
-    if (status == FrameStatus::kClosed || status == FrameStatus::kIoError) break;
-    if (status == FrameStatus::kTruncated) {
-      send_error(fd, "bad-frame", "truncated frame");
-      break;
-    }
-    if (status == FrameStatus::kOversized) {
-      // The oversized body was never read, so the stream cannot be
-      // resynchronized — answer typed and close.
-      send_error(fd, "oversized", "frame length exceeds the 1 MiB cap");
-      break;
-    }
-
-    // Execute on the pool; this connection thread just frames and waits.
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-    bool done = false;
-    std::string response;
-    pool_->submit([this, &body, &done_mutex, &done_cv, &done, &response] {
-      response = handle_request(body);  // never throws
-      // Notify under the mutex: the waiter owns these stack objects and may
-      // destroy them the moment it can re-acquire the lock and see `done`,
-      // so the signal must complete before the lock is released.
-      std::lock_guard<std::mutex> guard(done_mutex);
-      done = true;
-      done_cv.notify_one();
-    });
-    {
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&done] { return done; });
-    }
-    if (!write_frame(fd, response)) break;
+void Daemon::dispatch_buffered(Connection& conn) {
+  std::uint32_t length = 0;
+  const FrameStatus status = decode_frame(conn.in, &length);
+  if (status == FrameStatus::kOversized) {
+    // The body is never read, so the stream cannot be resynchronized.
+    close_connection(conn.fd, "oversized", "frame length exceeds the 1 MiB cap");
   }
-  ::close(fd);
+  if (status != FrameStatus::kOk) return;  // kTruncated: wait for more bytes
+  std::string body = conn.in.substr(kFramePrefixBytes, length);
+  conn.in.erase(0, kFramePrefixBytes + length);
+  conn.busy = true;
+  pool_->submit([this, fd = conn.fd, body = std::move(body)] {
+    const bool write_ok = write_frame(fd, handle_request(body));  // never throws
+    // Hand the connection back under the lock, so once the loop holds the
+    // entry this worker is done with the daemon. Only the first entry of a
+    // batch needs a wake byte, which keeps the pipe from filling.
+    const std::lock_guard<std::mutex> guard(finished_mutex_);
+    if (finished_.empty()) {
+      const ssize_t rc = ::write(drain_write_fd_, &kWakeByte, 1);
+      static_cast<void>(rc);  // full means the loop is awake anyway
+    }
+    finished_.emplace_back(fd, write_ok);
+  });
 }
 
 std::string Daemon::handle_request(std::string_view body) {

@@ -3,16 +3,17 @@
 // One Daemon owns one read-only input, opened through store::StoreOwner —
 // a monolithic STORCOL1 store or a STORSHARD1 shard directory, either way
 // one store::StoreParts view — validated once at start(), and a unix-domain
-// stream socket accepting any number of concurrent clients. Each connection
-// gets a thread that reads length-prefixed frames (serve/protocol.h);
-// request bodies execute on the daemon's util thread pool, are validated by
-// core::AnalysisRequest::from_params and render through
-// core/analysis_render.h, so every answer is byte-identical to the offline
-// `storsubsim analyze` / `store query` output for the same input. Nothing
-// after start() knows the input's shape: a ShardLru (--max-open-shards)
-// pins the view's parts, a single file being one part that never leaves,
-// and a query scans part by part through a ScanScratch on the stack, so
-// the steady-state query path allocates nothing but the response string.
+// stream socket accepting any number of concurrent clients. One poll loop
+// (serve()) owns every connection and feeds each length-prefixed frame
+// (serve/protocol.h) to the daemon's util thread pool; no connection owns
+// a thread. Requests are validated by core::AnalysisRequest::from_params
+// and render through core/analysis_render.h, so every answer is
+// byte-identical to the offline `storsubsim analyze` / `store query`
+// output for the same input. Nothing after start() knows the input's
+// shape: a ShardLru (--max-open-shards) pins the view's parts, a single
+// file being one part that never leaves, and a query scans part by part
+// through a ScanScratch on the stack, so the steady-state query path
+// allocates nothing but the request and response strings.
 //
 // Shutdown is a drain: request_drain() (async-signal-safe — one byte down
 // a self-pipe) stops the accept loop, lets in-flight requests finish, and
@@ -26,7 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "replicate/replicate.h"
@@ -60,17 +61,22 @@ class Daemon {
   /// the LRU trims to the cap), builds the thread pool, binds the socket.
   [[nodiscard]] store::Error start(const ServeOptions& options);
 
-  /// Accepts connections until request_drain(); returns after every
-  /// connection thread has been joined and the socket unlinked. Call after
-  /// a successful start().
+  /// Runs the poll loop: accepts connections and feeds their requests to
+  /// the pool until request_drain(); returns once no request is in flight,
+  /// every connection is closed and the socket unlinked — on a poll error
+  /// too, which it then reports. Call after a successful start().
   [[nodiscard]] store::Error serve();
 
   /// Initiates a graceful drain. Async-signal-safe; callable from any
   /// thread or from a signal handler (directly or via drain_signal_fd()).
   void request_drain() noexcept;
 
+  /// The byte a pool worker writes down the self-pipe to hand a connection
+  /// back to the poll loop; reserved, never a drain request.
+  static constexpr char kWakeByte = 'w';
+
   /// The write end of the drain self-pipe: a signal handler writing one
-  /// byte here is equivalent to request_drain().
+  /// byte here — any byte but kWakeByte — is equivalent to request_drain().
   int drain_signal_fd() const noexcept { return drain_write_fd_; }
 
   /// Non-null after a successful start() (test introspection).
@@ -81,8 +87,9 @@ class Daemon {
   std::string handle_request(std::string_view body);
 
  private:
-  void close_fds() noexcept;
-  void connection_loop(int fd);
+  struct Connection;
+
+  void dispatch_buffered(Connection& conn);
   std::string dispatch(const Request& request);
   std::string run_statistic(core::StatisticId statistic, const Request& request);
   std::string run_store_query(const core::AnalysisRequest& analysis,
@@ -100,8 +107,9 @@ class Daemon {
   int drain_write_fd_ = -1;
   std::atomic<bool> draining_{false};
 
-  std::mutex connections_mutex_;
-  std::vector<std::thread> connections_;
+  /// (fd, write_ok) of each connection a worker handed back to the loop.
+  std::mutex finished_mutex_;
+  std::vector<std::pair<int, bool>> finished_;
 };
 
 }  // namespace storsubsim::serve

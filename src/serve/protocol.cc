@@ -29,26 +29,6 @@ void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
-[[nodiscard]] bool read_exact(int fd, char* buf, std::size_t n, bool* saw_eof) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, buf + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      *saw_eof = true;
-      return got == 0;  // "clean" only when nothing of this read arrived
-    }
-    if (errno == EINTR) continue;
-    // A SO_RCVTIMEO expiry lands here as EAGAIN: treat like a vanished peer.
-    *saw_eof = true;
-    return false;
-  }
-  return true;
-}
-
 RequestError request_error(std::string_view code, std::string_view message) {
   RequestError err;
   err.code.assign(code);
@@ -64,35 +44,50 @@ RequestError request_error(std::string_view code, std::string_view message) {
 
 }  // namespace
 
-FrameStatus read_frame(int fd, std::string* body, std::uint32_t max_bytes) {
-  char prefix[kFramePrefixBytes];
-  bool saw_eof = false;
-  if (!read_exact(fd, prefix, sizeof(prefix), &saw_eof)) {
-    return saw_eof ? FrameStatus::kTruncated : FrameStatus::kIoError;
-  }
-  if (saw_eof) return FrameStatus::kClosed;
+FrameStatus decode_frame(std::string_view bytes, std::uint32_t* body_length,
+                         std::uint32_t max_bytes) {
+  if (bytes.size() < kFramePrefixBytes) return FrameStatus::kTruncated;
   std::uint32_t length = 0;
-  std::memcpy(&length, prefix, sizeof(length));  // wire format is little-endian
+  std::memcpy(&length, bytes.data(), sizeof(length));  // wire format is little-endian
   if (length > max_bytes) return FrameStatus::kOversized;
-  body->resize(length);
-  if (length == 0) return FrameStatus::kOk;
-  saw_eof = false;
-  if (!read_exact(fd, body->data(), length, &saw_eof)) {
-    return saw_eof ? FrameStatus::kTruncated : FrameStatus::kIoError;
-  }
-  return FrameStatus::kOk;
+  *body_length = length;
+  return bytes.size() - kFramePrefixBytes < length ? FrameStatus::kTruncated
+                                                   : FrameStatus::kOk;
 }
 
-bool write_frame(int fd, std::string_view body) {
+FrameStatus read_frame(int fd, std::string* body, std::uint32_t max_bytes) {
+  // Reads the prefix, then exactly the body it announces, so bytes of a
+  // following frame stay in the socket for the next call.
+  std::size_t got = 0;
+  std::uint32_t length = 0;
+  body->resize(kFramePrefixBytes);
+  for (;;) {
+    const FrameStatus status =
+        decode_frame(std::string_view(body->data(), got), &length, max_bytes);
+    if (status == FrameStatus::kOk) body->erase(0, kFramePrefixBytes);
+    if (status != FrameStatus::kTruncated) return status;
+    body->resize(got < kFramePrefixBytes ? kFramePrefixBytes : kFramePrefixBytes + length);
+    const ssize_t r = ::read(fd, body->data() + got, body->size() - got);
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+    } else if (r == 0 || errno != EINTR) {
+      // EOF, a hard error, or a receive-timeout expiry (EAGAIN): the peer is
+      // gone, cleanly only on a frame boundary.
+      return r == 0 && got == 0 ? FrameStatus::kClosed : FrameStatus::kTruncated;
+    }
+  }
+}
+
+bool write_frame(int fd, std::string_view body, int flags) {
   const auto length = static_cast<std::uint32_t>(body.size());
   char prefix[kFramePrefixBytes];
   std::memcpy(prefix, &length, sizeof(length));
-  const auto write_all = [fd](const char* data, std::size_t n) {
+  const auto write_all = [fd, flags](const char* data, std::size_t n) {
     std::size_t sent = 0;
     while (sent < n) {
       // MSG_NOSIGNAL: a peer that closed mid-response must yield EPIPE, not
       // a process-killing SIGPIPE (the daemon outlives rude clients).
-      const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
+      const ssize_t w = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL | flags);
       if (w >= 0) {
         sent += static_cast<std::size_t>(w);
         continue;

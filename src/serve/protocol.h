@@ -41,24 +41,32 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /// Bytes of the little-endian length prefix.
 inline constexpr std::size_t kFramePrefixBytes = 4;
 
-/// Outcome of reading one frame off a blocking fd.
+/// Outcome of reading (or decoding) one frame.
 enum class FrameStatus : std::uint8_t {
   kOk,         ///< body filled in
   kClosed,     ///< clean EOF on a frame boundary
-  kTruncated,  ///< EOF (or read timeout) inside a frame
+  kTruncated,  ///< frame incomplete: more bytes needed, or EOF/error/timeout
   kOversized,  ///< announced length exceeds `max_bytes`; body unread
-  kIoError,    ///< hard read error
 };
 
-/// Reads one length-prefixed frame. Retries EINTR; a recv timeout counts as
-/// kTruncated. `body` is reused (resized, not reallocated once warm).
+/// The one frame decoder, over the bytes received so far (the daemon's and
+/// read_frame's). kOk: the first kFramePrefixBytes + *body_length bytes are
+/// a whole frame; kTruncated: some of it is missing (*body_length is set
+/// once the prefix is whole); kOversized: the body must never be read.
+[[nodiscard]] FrameStatus decode_frame(std::string_view bytes, std::uint32_t* body_length,
+                                       std::uint32_t max_bytes = kMaxFrameBytes);
+
+/// Reads one length-prefixed frame off a blocking fd. Retries EINTR; EOF,
+/// a read error or a recv timeout inside a frame is kTruncated. `body` is
+/// reused (resized, not reallocated once warm).
 FrameStatus read_frame(int fd, std::string* body,
                        std::uint32_t max_bytes = kMaxFrameBytes);
 
-/// Writes prefix + body, handling partial writes and EINTR. False on error
-/// (peer gone). Bodies above kMaxFrameBytes are never produced by this
-/// codebase; callers must keep it that way.
-[[nodiscard]] bool write_frame(int fd, std::string_view body);
+/// Writes prefix + body, handling partial writes and EINTR; `flags` are
+/// added to send()'s (MSG_DONTWAIT: give up rather than block). False on
+/// error (peer gone). Bodies above kMaxFrameBytes are never produced by
+/// this codebase; callers must keep it that way.
+[[nodiscard]] bool write_frame(int fd, std::string_view body, int flags = 0);
 
 /// Raw query-endpoint parameters as they travel on the wire — the typed
 /// core::RequestParams, aliased. Strings stay unparsed here so the client

@@ -1,7 +1,7 @@
 #include "sim/log_bridge.h"
 
 #include <charconv>
-#include <string>
+#include <optional>
 
 #include "log/codes.h"
 #include "log/emitter.h"
@@ -57,11 +57,6 @@ std::string_view precursor_message_tail(PrecursorKind kind) {
 
 }  // namespace
 
-std::string device_address(const model::Fleet& fleet, model::DiskId disk) {
-  char buf[24];
-  return std::string(format_device_address(fleet, disk, buf));
-}
-
 std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
                                std::span<const SimFailure> failures) {
   std::size_t lines = 0;
@@ -84,14 +79,6 @@ std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
                       ::storsubsim::obs::Stability::kDeterministic);
   STORSIM_OBS_ADD(c_lines, lines);
   return lines;
-}
-
-std::string_view code_for(PrecursorKind kind) {
-  return log::code_name(precursor_code(kind));
-}
-
-std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code) {
-  return precursor_kind_of(log::code_id(code));
 }
 
 std::size_t write_precursor_logs(log::LineWriter& out, const model::Fleet& fleet,

@@ -5,10 +5,7 @@
 // that mirrors how the paper's data was produced and consumed.
 #pragma once
 
-#include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "log/line_writer.h"
@@ -25,16 +22,6 @@ namespace storsubsim::sim {
 /// emission performs no allocation. Returns the number of lines written.
 std::size_t write_failure_logs(log::LineWriter& out, const model::Fleet& fleet,
                                std::span<const SimFailure> failures);
-
-/// Renders the "adapter.target" device address used in log prose.
-std::string device_address(const model::Fleet& fleet, model::DiskId disk);
-
-/// Log message code used for a precursor kind (non-terminal: the failure
-/// classifier ignores these records).
-std::string_view code_for(PrecursorKind kind);
-
-/// Inverse of `code_for`; nullopt for non-precursor codes.
-std::optional<PrecursorKind> precursor_kind_of_code(std::string_view code);
 
 /// Appends one log line per precursor event, rendered by
 /// `log::render_line_to`. Returns lines written.

@@ -354,8 +354,37 @@ TEST(ParseText, LineSplittingMatchesGetlineSemantics) {
 }
 
 TEST(RenderTimestamp, DayAndTimeOfDay) {
-  EXPECT_EQ(log_ns::render_timestamp(0.0), "D0000 00:00:00");
-  EXPECT_EQ(log_ns::render_timestamp(86400.0 + 3661.0), "D0001 01:01:01");
+  // The cosmetic day/time-of-day field that opens every rendered line.
+  const auto stamp = [](double sim_seconds) {
+    log_ns::LogView record;
+    record.time = sim_seconds;
+    record.code_id = log_ns::EventCode::kRaidDiskFailed;
+    record.code = log_ns::code_name(record.code_id);
+    log_ns::LineWriter out;
+    log_ns::render_line_to(out, record);
+    const std::string_view line = out.view();
+    return std::string(line.substr(0, line.find(" t=")));
+  };
+  EXPECT_EQ(stamp(0.0), "D0000 00:00:00");
+  EXPECT_EQ(stamp(86399.0), "D0000 23:59:59");
+  EXPECT_EQ(stamp(86400.0), "D0001 00:00:00");
+  EXPECT_EQ(stamp(86400.0 + 3661.0), "D0001 01:01:01");
   // Negative (precursor before study start) clamps rather than underflows.
-  EXPECT_EQ(log_ns::render_timestamp(-5.0), "D0000 00:00:00");
+  EXPECT_EQ(stamp(-5.0), "D0000 00:00:00");
+
+  // A chain detected at a day boundary: its precursors render on the day
+  // before, its RAID-layer terminal on the new day.
+  log_ns::FailureLineInput failure;
+  failure.detect_time = 86400.0;
+  failure.disk = model::DiskId(3);
+  failure.system = model::SystemId(1);
+  failure.device_address = "1.19";
+  failure.serial = "SN0000003";
+  log_ns::LineWriter chain;
+  const std::size_t lines = log_ns::emit_chain(chain, failure);
+  ASSERT_GE(lines, 2u);
+  const std::string_view text = chain.view();
+  EXPECT_EQ(text.substr(0, 9), "D0000 23:");
+  const std::size_t last = text.rfind('\n', text.size() - 2) + 1;
+  EXPECT_EQ(text.substr(last, 15), "D0001 00:00:00 ");
 }

@@ -3,9 +3,10 @@
 // garbage on the wire with typed errors (never a crash), drain gracefully,
 // and keep its shard LRU within the --max-open-shards budget.
 //
-// The daemon under test is the real thing — real unix socket, real
-// connection threads, real pool — driven from this process so the tests can
-// also reach handle_request() and lru() directly. Scale 0.02 keeps the
+// The daemon under test is the real thing — real unix socket, real poll
+// loop, real pool — driven from this process so the tests can also reach
+// handle_request() and lru() directly, and read the daemon's own thread and
+// mapping counts from /proc/self. Scale 0.02 keeps the
 // fixture build fast; byte-identity is scale-independent (the shards suite
 // covers fidelity at 0.05).
 #include <gtest/gtest.h>
@@ -15,9 +16,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "core/store_bridge.h"
 #include "core/analysis_request.h"
 #include "model/fleet_config.h"
+#include "obs/registry.h"
 #include "replicate/replicate.h"
 #include "replicate/table.h"
 #include "serve/client.h"
@@ -131,6 +135,46 @@ bool write_all(int fd, const void* data, std::size_t size) {
     size -= static_cast<std::size_t>(w);
   }
   return true;
+}
+
+/// Writes one length-prefixed frame into `out` (several may be appended
+/// and sent in one write).
+void append_frame(std::string& out, std::string_view body) {
+  const auto length = static_cast<std::uint32_t>(body.size());
+  out.append(reinterpret_cast<const char*>(&length), sizeof(length));
+  out.append(body);
+}
+
+/// The value of a `key:` line in /proc/self/status, or -1 where it cannot
+/// be read.
+long proc_status_value(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.compare(0, key.size() + 1, key + ":") == 0) {
+      return std::stol(line.substr(key.size() + 1));
+    }
+  }
+  return -1;
+}
+
+/// Lines of /proc/self/maps (one per mapping), or -1 where it cannot be
+/// read.
+long proc_maps_lines() {
+  std::ifstream maps("/proc/self/maps");
+  if (!maps) return -1;
+  long lines = 0;
+  std::string line;
+  while (std::getline(maps, line)) ++lines;
+  return lines;
+}
+
+/// A counter's current value in the process-wide registry (0 before its
+/// first add).
+std::uint64_t counter_value(std::string_view name) {
+  const auto snapshot = storsubsim::obs::registry().snapshot();
+  const auto* metric = snapshot.find(name);
+  return metric == nullptr ? 0 : metric->value;
 }
 
 class ServeSuite : public ::testing::Test {
@@ -402,6 +446,33 @@ TEST_F(ServeSuite, TruncatedAndOversizedFramesGetTypedErrorsThenClose) {
   EXPECT_TRUE(response.ok);
 }
 
+TEST_F(ServeSuite, EofRightAfterTheLengthPrefixIsATruncatedFrame) {
+  // The client's blocking reader: a stream that ends right after a prefix
+  // announcing 16 bytes holds no frame.
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  ASSERT_TRUE(write_all(pair[1], "\x10\x00\x00\x00", 4));
+  ::close(pair[1]);
+  std::string body;
+  EXPECT_EQ(serve::read_frame(pair[0], &body), serve::FrameStatus::kTruncated);
+  ::close(pair[0]);
+
+  // The daemon: the same stream gets bad-frame, not an answer to 16 bytes
+  // that never arrived.
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_prefix_eof.sock").ok());
+  const int fd = raw_connect(harness.socket_path());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(write_all(fd, "\x10\x00\x00\x00", 4));
+  ::shutdown(fd, SHUT_WR);
+  ASSERT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kOk);
+  serve::Response response;
+  ASSERT_TRUE(serve::parse_response(body, &response)) << body;
+  EXPECT_EQ(response.error_code, "bad-frame");
+  EXPECT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kClosed);
+  ::close(fd);
+}
+
 TEST_F(ServeSuite, RandomFrameFuzzNeverKillsTheDaemon) {
   DaemonHarness harness;
   ASSERT_TRUE(harness.start(mono_path(), "serve_fuzz.sock").ok());
@@ -467,6 +538,138 @@ TEST_F(ServeSuite, DrainSignalFdIsEquivalentToRequestDrain) {
   ASSERT_EQ(::write(harness.daemon().drain_signal_fd(), &byte, 1), 1);
   harness.stop();  // joins; serve() must have exited cleanly on its own
   EXPECT_NE(::access(harness.socket_path().c_str(), F_OK), 0);
+}
+
+TEST_F(ServeSuite, DrainDuringARequestStillDeliversItsResponse) {
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_drain_busy.sock").ok());
+  const int fd = raw_connect(harness.socket_path());
+  ASSERT_GE(fd, 0);
+  const std::uint64_t before = counter_value("serve.endpoint.correlation");
+  std::string frame;
+  append_frame(frame, "{\"endpoint\":\"correlation\"}");
+  ASSERT_TRUE(write_all(fd, frame.data(), frame.size()));
+  // The endpoint counter ticks once a worker is past the draining check,
+  // i.e. the request is executing (or just done) when the drain starts.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (counter_value("serve.endpoint.correlation") == before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_GT(counter_value("serve.endpoint.correlation"), before);
+  harness.daemon().request_drain();
+
+  std::string body;
+  ASSERT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kOk);
+  serve::Response response;
+  ASSERT_TRUE(serve::parse_response(body, &response)) << body;
+  EXPECT_TRUE(response.ok) << response.error_code << ": " << response.message;
+  EXPECT_EQ(response.table, core::render_correlation(core::Source(mono()), false));
+  // Then the connection closes at its frame boundary.
+  EXPECT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kClosed);
+  ::close(fd);
+  harness.stop();  // asserts serve() returned kOk
+  EXPECT_NE(::access(harness.socket_path().c_str(), F_OK), 0);
+}
+
+// --- connection model ------------------------------------------------------
+
+TEST_F(ServeSuite, IdleConnectionsAddNoThreads) {
+  if (proc_status_value("Threads") < 0) GTEST_SKIP() << "/proc/self/status unreadable";
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_idle.sock").ok());
+  serve::Request request;
+  request.endpoint = "afr";
+  serve::Response response;
+  {  // The serve thread and the pool are up and have answered once.
+    serve::Client warm;
+    ASSERT_TRUE(warm.connect(harness.socket_path()).ok());
+    ASSERT_TRUE(warm.request(request, &response).ok());
+  }
+  const long before = proc_status_value("Threads");
+
+  // Each connection is served once (so the daemon has accepted it), then
+  // left open and idle.
+  std::vector<serve::Client> idle(64);
+  for (auto& client : idle) {
+    ASSERT_TRUE(client.connect(harness.socket_path()).ok());
+    ASSERT_TRUE(client.request(request, &response).ok());
+    EXPECT_TRUE(response.ok);
+  }
+  EXPECT_EQ(proc_status_value("Threads"), before);
+}
+
+TEST_F(ServeSuite, ClosedConnectionsLeaveNoMappingsBehind) {
+  if (proc_maps_lines() < 0) GTEST_SKIP() << "/proc/self/maps unreadable";
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_churn.sock").ok());
+  serve::Request request;
+  request.endpoint = "afr";
+  const auto churn = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      serve::Client client;
+      ASSERT_TRUE(client.connect(harness.socket_path()).ok());
+      serve::Response response;
+      ASSERT_TRUE(client.request(request, &response).ok());
+      ASSERT_TRUE(response.ok);
+    }
+  };
+  churn(20);  // warm-up: allocator arenas, lazily touched mappings
+  const long before = proc_maps_lines();
+  churn(300);
+  EXPECT_LT(proc_maps_lines() - before, 30);
+}
+
+TEST_F(ServeSuite, StalledPeersDoNotDelayOtherClients) {
+  DaemonHarness harness;  // 4 pool workers
+  ASSERT_TRUE(harness.start(mono_path(), "serve_stalled.sock").ok());
+  // Eight peers, more than the pool has workers, each stop mid-frame: a
+  // whole prefix announcing 64 bytes, then only 11 of them.
+  std::vector<int> stalled;
+  for (int i = 0; i < 8; ++i) {
+    const int fd = raw_connect(harness.socket_path());
+    ASSERT_GE(fd, 0);
+    stalled.push_back(fd);
+    ASSERT_TRUE(write_all(fd, "\x40\x00\x00\x00{\"endpoint\"", 15));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  serve::Client client;
+  ASSERT_TRUE(client.connect(harness.socket_path()).ok());
+  serve::Request request;
+  request.endpoint = "afr";
+  serve::Response response;
+  ASSERT_TRUE(client.request(request, &response).ok());
+  EXPECT_TRUE(response.ok);
+  EXPECT_EQ(response.table, core::render_afr_total(core::Source(mono()), false));
+  // Far below the 30 s read timeout that would release a held worker.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  for (const int fd : stalled) ::close(fd);
+}
+
+TEST_F(ServeSuite, PipelinedFramesGetInOrderResponses) {
+  DaemonHarness harness;
+  ASSERT_TRUE(harness.start(mono_path(), "serve_pipelined.sock").ok());
+  const int fd = raw_connect(harness.socket_path());
+  ASSERT_GE(fd, 0);
+  std::string frames;
+  append_frame(frames, "{\"endpoint\":\"lifetime\"}");
+  append_frame(frames, "{\"endpoint\":\"afr\"}");
+  ASSERT_TRUE(write_all(fd, frames.data(), frames.size()));  // both before any read
+
+  const core::Source source(mono());
+  const std::pair<const char*, std::string> expected[] = {
+      {"lifetime", core::render_lifetime(source, false)},
+      {"afr", core::render_afr_total(source, false)}};
+  for (const auto& [endpoint, table] : expected) {
+    std::string body;
+    ASSERT_EQ(serve::read_frame(fd, &body), serve::FrameStatus::kOk) << endpoint;
+    serve::Response response;
+    ASSERT_TRUE(serve::parse_response(body, &response)) << body;
+    EXPECT_TRUE(response.ok) << endpoint;
+    EXPECT_EQ(response.endpoint, endpoint);
+    EXPECT_EQ(response.table, table) << endpoint;
+  }
+  ::close(fd);
 }
 
 // --- shard LRU -----------------------------------------------------------

@@ -125,16 +125,38 @@ TEST(Precursors, Deterministic) {
 }
 
 TEST(PrecursorCodes, RoundTrip) {
+  namespace log = storsubsim::log;
+  auto fs = small_sim();
+  ASSERT_FALSE(fs.result.failures.empty());
+  const auto& failure = fs.result.failures[0];
+  std::vector<sim::PrecursorEvent> events;
   for (const auto kind : {sim::PrecursorKind::kMediumError, sim::PrecursorKind::kLinkReset,
                           sim::PrecursorKind::kCmdTimeout}) {
-    const auto code = sim::code_for(kind);
-    const auto back = sim::precursor_kind_of_code(code);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, kind);
-    // Precursor codes must never classify as failures.
-    EXPECT_FALSE(storsubsim::log::failure_type_of(storsubsim::log::code_id(code)).has_value());
+    events.push_back(sim::PrecursorEvent{100.0, failure.disk, failure.system, kind});
   }
-  EXPECT_FALSE(sim::precursor_kind_of_code("raid.config.disk.failed").has_value());
+  log::LineWriter text;
+  sim::write_precursor_logs(text, fs.fleet, events);
+  std::vector<log::LogView> records;
+  log::parse_text(text.view(), records);
+  ASSERT_EQ(records.size(), events.size());
+  for (const auto& record : records) {
+    // Each precursor code is in the EventCode table, both ways...
+    EXPECT_NE(record.code_id, log::EventCode::kUnknown) << record.code;
+    EXPECT_EQ(log::code_name(record.code_id), record.code);
+    EXPECT_EQ(log::code_id(record.code), record.code_id);
+    // ...and never classifies as a failure.
+    EXPECT_FALSE(log::failure_type_of(record.code_id).has_value()) << record.code;
+  }
+  const auto back = sim::extract_precursors(records);
+  ASSERT_EQ(back.size(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) EXPECT_EQ(back[i].kind, events[i].kind);
+
+  // A RAID-layer failure code is not a precursor: extraction skips it.
+  log::LogView raid = records[0];
+  raid.code = "raid.config.disk.failed";
+  raid.code_id = log::code_id(raid.code);
+  ASSERT_NE(raid.code_id, log::EventCode::kUnknown);
+  EXPECT_TRUE(sim::extract_precursors(std::span<const log::LogView>(&raid, 1)).empty());
 }
 
 TEST(PrecursorLogs, WriteParseExtractRoundTrip) {

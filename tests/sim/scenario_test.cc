@@ -3,9 +3,12 @@
 #include "sim/scenario.h"
 
 #include <array>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "log/line_writer.h"
 #include "sim/log_bridge.h"
 
 namespace sim = storsubsim::sim;
@@ -75,7 +78,19 @@ TEST(RunStandard, ProducesAllClassesAndFailureTypes) {
 TEST(LogBridge, DeviceAddressStable) {
   auto fs = sim::run_standard(0.005, 78);
   ASSERT_FALSE(fs.result.failures.empty());
-  const auto addr = sim::device_address(fs.fleet, fs.result.failures[0].disk);
-  EXPECT_NE(addr.find('.'), std::string::npos);
-  EXPECT_EQ(addr, sim::device_address(fs.fleet, fs.result.failures[0].disk));
+  const auto& failure = fs.result.failures[0];
+  // "adapter.target": the shelf's position in its system, then the slot
+  // offset by 16, as in the paper's "8.24".
+  const auto& disk = fs.fleet.disk(failure.disk);
+  const std::string address = std::to_string(fs.fleet.shelf(disk.shelf).index_in_system + 1) +
+                              "." + std::to_string(disk.slot + 16);
+  const std::span<const sim::SimFailure> one(&failure, 1);
+  storsubsim::log::LineWriter first;
+  storsubsim::log::LineWriter second;
+  sim::write_failure_logs(first, fs.fleet, one);
+  sim::write_failure_logs(second, fs.fleet, one);
+  EXPECT_EQ(first.view(), second.view());
+  // Every terminal line names the disk as "Disk <address> S/N [...]".
+  EXPECT_NE(first.view().find("Disk " + address + " S/N ["), std::string_view::npos)
+      << first.view();
 }

@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (615 cases: unit/integration tests, the storsim_lint fixture
+#   2. ctest (621 cases: unit/integration tests, the storsim_lint fixture
 #      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
 #      cases).
 #      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
