@@ -12,7 +12,7 @@
 //                          paper's full ~39k-system fleet)
 //   --seed=<int>           simulation seed
 //   --threads=<int>        worker threads for the simulator / log pipeline /
-//                          bootstrap (default: STORSIM_THREADS env, else
+//                          store writer (default: STORSIM_THREADS env, else
 //                          hardware concurrency; results are identical for
 //                          any value — see docs/performance.md)
 //   --store=<path>         load the dataset from a prebuilt columnar store

@@ -209,10 +209,6 @@ int main(int argc, char** argv) {
       {"rerun_speedup", speedup},
       {"breakdown_identical", breakdown_identical ? 1.0 : 0.0},
       {"query_identical", query_identical ? 1.0 : 0.0}};
-  for (std::size_t s = 0; s < built.shard_build_seconds.size(); ++s) {
-    numbers.emplace_back("shard_" + std::to_string(s) + "_build_seconds",
-                         built.shard_build_seconds[s]);
-  }
   std::vector<std::pair<std::string, std::string>> info;
   if (!options.store.empty()) info.emplace_back("store", options.store);
   bench::finish_run("bench/store_bench", options, numbers, info);

@@ -120,21 +120,6 @@ std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset) {
   return out;
 }
 
-std::vector<AfrBreakdown> afr_by_shelf_model(const Dataset& dataset) {
-  std::map<model::ShelfModelName, bool> present;
-  for (const auto& sys : dataset.inventory().systems) {
-    if (dataset.system_selected(sys.id)) present[sys.shelf_model] = true;
-  }
-  std::vector<AfrBreakdown> out;
-  for (const auto& [name, _] : present) {
-    Filter f;
-    f.shelf_model = name;
-    const Dataset cohort = dataset.filter(f);
-    out.push_back(compute_afr(cohort, "Shelf Model " + model::to_string(name)));
-  }
-  return out;
-}
-
 std::vector<AfrBreakdown> afr_by_path_config(const Dataset& dataset) {
   std::vector<AfrBreakdown> out;
   for (const auto paths :

@@ -100,17 +100,6 @@ double Dataset::disk_exposure_years() const {
   return total;
 }
 
-double Dataset::shelf_exposure_years() const {
-  double total = 0.0;
-  for (const auto& sh : inventory_->shelves) {
-    if (system_mask_[sh.system.value()] == 0) continue;
-    const auto& sys = inventory_->systems[sh.system.value()];
-    const double span = inventory_->horizon_seconds - sys.deploy_time;
-    if (span > 0.0) total += model::years(span);
-  }
-  return total;
-}
-
 double Dataset::raid_group_exposure_years() const {
   double total = 0.0;
   for (const auto& g : inventory_->raid_groups) {

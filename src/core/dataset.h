@@ -66,9 +66,8 @@ class Dataset {
   /// Total disk exposure of the cohort, in disk-years.
   double disk_exposure_years() const;
 
-  /// Observed shelf time in shelf-years (shelves accrue time from their
+  /// Observed RAID-group time in group-years (groups accrue time from their
   /// system's deployment to the horizon).
-  double shelf_exposure_years() const;
   double raid_group_exposure_years() const;
 
   /// Per-event enrichment helpers.

@@ -114,7 +114,6 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
   // to the serial loop because each chunk depends only on (config, range).
   std::vector<store::ShardInfo> infos(shards);
   std::vector<store::Error> errors(shards);
-  std::vector<double> seconds(shards, 0.0);
 
   util::parallel_for(
       shards,
@@ -152,7 +151,6 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
           path += '/';
           path += info.file;
           errors[s] = write_store(path, run, config.seed, config.scale);
-          seconds[s] = shard_span.stop();
         }
       },
       build_threads);
@@ -184,7 +182,6 @@ store::Error build_sharded_store(const std::string& dir, const model::FleetConfi
     result->events = manifest.events;
     result->disk_records = manifest.disks_total;
     result->peak_rss_bytes = manifest.peak_rss_bytes;
-    result->shard_build_seconds = std::move(seconds);
   }
   return store::Error{};
 }

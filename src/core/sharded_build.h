@@ -45,8 +45,7 @@ struct ShardedBuildResult {
   std::size_t shards = 0;
   std::uint64_t events = 0;
   std::uint64_t disk_records = 0;
-  std::uint64_t peak_rss_bytes = 0;        ///< VmHWM after the build (0 = unknown)
-  std::vector<double> shard_build_seconds; ///< per-shard simulate+pipeline+write
+  std::uint64_t peak_rss_bytes = 0;  ///< VmHWM after the build (0 = unknown)
 };
 
 /// Rough peak working set of building one chunk, in bytes per initial disk:
@@ -54,13 +53,6 @@ struct ShardedBuildResult {
 /// store image. Deliberately conservative; used only to derive shard counts
 /// from --max-rss-mb.
 inline constexpr std::uint64_t kBuildBytesPerDisk = 1536;
-
-/// Estimated peak working set of a build with `chunk_disks`-disk chunks and
-/// `in_flight` of them resident at once.
-inline constexpr std::uint64_t estimate_build_bytes(std::uint64_t chunk_disks,
-                                                    std::uint64_t in_flight) {
-  return chunk_disks * kBuildBytesPerDisk * in_flight;
-}
 
 /// Simulates `config` in chunks and writes a shard directory (STORCOL1
 /// shards + MANIFEST) to `dir`, creating it if needed. Returns the first

@@ -5,8 +5,8 @@
 // layer (emit, classify, precursor extraction). Interning collapses that:
 // the emitter writes `std::string_view` constants, the parser resolves an
 // incoming code to a small integer id in one lookup, and everything
-// downstream (failure classification, layer attribution, precursor
-// recovery) switches on the id instead of re-comparing strings.
+// downstream (failure classification, precursor recovery) switches on the
+// id instead of re-comparing strings.
 #pragma once
 
 #include <cstdint>

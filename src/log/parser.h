@@ -36,8 +36,6 @@ struct LogView {
   model::SystemId system;
   std::string_view code;     ///< aliases the parsed buffer
   std::string_view message;  ///< aliases the parsed buffer
-
-  Layer layer() const { return layer_of_code(code); }
 };
 
 /// Parses one rendered line into `out` without copying text; returns false

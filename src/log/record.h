@@ -1,5 +1,5 @@
-// The vocabulary of a log record: severity and the software layer that
-// reported it. A parsed record is a `LogView` (log/parser.h).
+// The vocabulary of a log record: its severity. A parsed record is a
+// `LogView` (log/parser.h).
 //
 // The storage systems studied in the paper log informational and error
 // events on each layer as a failure propagates upward (Fibre Channel ->
@@ -19,10 +19,5 @@ enum class Severity : std::uint8_t { kInfo, kWarning, kError };
 
 std::string_view to_string(Severity s);
 std::optional<Severity> parse_severity(std::string_view s);
-
-/// Which software layer produced a record, derived from the code prefix.
-enum class Layer : std::uint8_t { kFibreChannel, kScsi, kDiskDriver, kRaid, kOther };
-
-Layer layer_of_code(std::string_view code);
 
 }  // namespace storsubsim::log

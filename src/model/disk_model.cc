@@ -48,14 +48,6 @@ const DiskModelInfo& DiskModelRegistry::at(const DiskModelName& name) const {
   return *info;
 }
 
-std::vector<DiskModelName> DiskModelRegistry::models_of_type(DiskType type) const {
-  std::vector<DiskModelName> out;
-  for (const auto& m : models_) {
-    if (m.type == type) out.push_back(m.name);
-  }
-  return out;
-}
-
 const DiskModelRegistry& DiskModelRegistry::standard() {
   // Calibration notes:
   //  * FC disk AFRs sit in the 0.6-0.9% band the paper reports ("consistently

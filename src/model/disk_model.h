@@ -66,9 +66,6 @@ class DiskModelRegistry {
   std::span<const DiskModelInfo> all() const { return models_; }
   std::size_t size() const { return models_.size(); }
 
-  /// All models of the given interface type.
-  std::vector<DiskModelName> models_of_type(DiskType type) const;
-
  private:
   std::vector<DiskModelInfo> models_;
 };

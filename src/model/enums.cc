@@ -53,12 +53,6 @@ std::optional<SystemClass> parse_system_class(std::string_view s) {
   return std::nullopt;
 }
 
-std::optional<DiskType> parse_disk_type(std::string_view s) {
-  if (s == "SATA") return DiskType::kSata;
-  if (s == "FC") return DiskType::kFc;
-  return std::nullopt;
-}
-
 std::optional<RaidType> parse_raid_type(std::string_view s) {
   if (s == "RAID4") return RaidType::kRaid4;
   if (s == "RAID6") return RaidType::kRaid6;

@@ -75,9 +75,9 @@ std::string manifest_json(const RunManifest& manifest) {
 
 bool write_manifest(const std::string& path, const RunManifest& manifest) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
   out << manifest_json(manifest);
-  return static_cast<bool>(out);
+  out.close();  // flushes: a refused write fails the stream only here
+  return !out.fail();
 }
 
 }  // namespace storsubsim::obs

@@ -138,9 +138,9 @@ std::string trace_json() {
 
 bool write_trace_json(const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
   out << trace_json();
-  return static_cast<bool>(out);
+  out.close();  // flushes: a refused write fails the stream only here
+  return !out.fail();
 }
 
 }  // namespace storsubsim::obs

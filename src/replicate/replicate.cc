@@ -13,6 +13,7 @@
 #include "model/fleet_config.h"
 #include "model/time.h"
 #include "sim/simulator.h"
+#include "stats/ecdf.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
 #include "util/parallel.h"
@@ -49,18 +50,6 @@ constexpr StatDef kStatDefs[] = {
 
 constexpr std::size_t kStatCount = sizeof(kStatDefs) / sizeof(kStatDefs[0]);
 
-/// Percentile of a sorted sample, linearly interpolated between order
-/// statistics — the same convention stats::bootstrap_ci uses.
-double percentile_sorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  const double h = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(h);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  const double frac = h - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-}
-
 /// The convergence test: CI half-width within ci_rel of |mean|. A zero mean
 /// only converges once the interval collapses entirely.
 bool meets_target(const stats::Interval& ci, double mean, double ci_rel) {
@@ -75,13 +64,6 @@ std::string_view to_string(StopReason reason) noexcept {
     case StopReason::kConverged: return "converged";
   }
   return "unknown";
-}
-
-std::vector<std::string> statistic_names() {
-  std::vector<std::string> names;
-  names.reserve(kStatCount);
-  for (const auto& def : kStatDefs) names.emplace_back(def.name);
-  return names;
 }
 
 std::vector<double> headline_statistics(const core::Dataset& dataset) {
@@ -195,11 +177,10 @@ ReplicateSummary run_replication(const ReplicateOptions& options) {
     stat.mean = acc.mean();
     stat.stddev = acc.stddev();
     stat.ci = stats::mean_ci(acc.mean(), acc.variance(), acc.count(), opts.confidence);
-    std::vector<double> sorted = summary.values[s];
-    std::sort(sorted.begin(), sorted.end());
-    stat.p025 = percentile_sorted(sorted, 0.025);
-    stat.p500 = percentile_sorted(sorted, 0.5);
-    stat.p975 = percentile_sorted(sorted, 0.975);
+    const stats::Ecdf distribution(summary.values[s]);
+    stat.p025 = distribution.quantile(0.025);
+    stat.p500 = distribution.quantile(0.5);
+    stat.p975 = distribution.quantile(0.975);
     summary.stats.push_back(std::move(stat));
   }
   return summary;

@@ -74,12 +74,9 @@ struct ReplicateSummary {
   std::vector<std::vector<double>> values;
 };
 
-/// The fixed headline-statistic names, in table order. The list is part of
-/// the STORREP1 contract: tables always carry exactly these statistics.
-std::vector<std::string> statistic_names();
-
-/// Extracts the headline-statistic vector (statistic_names() order) from one
-/// simulated replicate's dataset.
+/// Extracts the headline-statistic vector from one simulated replicate's
+/// dataset, in table order. The statistic list and its order are part of the
+/// STORREP1 contract: tables always carry exactly these statistics.
 std::vector<double> headline_statistics(const core::Dataset& dataset);
 
 /// Runs the replication driver: simulates replicates under keyed substreams,

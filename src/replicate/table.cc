@@ -1,8 +1,8 @@
 #include "replicate/table.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
+
+#include "store/mmap_file.h"
 
 namespace storsubsim::replicate {
 
@@ -15,47 +15,7 @@ using store::append_u64;
 using store::append_u8;
 using store::ErrorCode;
 using store::make_error;
-using store::read_f64;
-using store::read_u16;
 using store::read_u32;
-using store::read_u64;
-using store::read_u8;
-
-/// Bounds-checked cursor over the mapped image; every read method fails
-/// closed with kTruncated instead of walking past the end.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : p_(data), end_(data + size), base_(data) {}
-
-  std::uint64_t offset() const { return static_cast<std::uint64_t>(p_ - base_); }
-  std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
-
-  bool take(std::size_t n, const char** out) {
-    if (remaining() < n) return false;
-    *out = p_;
-    p_ += n;
-    return true;
-  }
-
-  bool u8(std::uint8_t* out) { return scalar(out, read_u8); }
-  bool u16(std::uint16_t* out) { return scalar(out, read_u16); }
-  bool u32(std::uint32_t* out) { return scalar(out, read_u32); }
-  bool u64(std::uint64_t* out) { return scalar(out, read_u64); }
-  bool f64(double* out) { return scalar(out, read_f64); }
-
- private:
-  template <typename T, typename Fn>
-  bool scalar(T* out, Fn read) {
-    const char* at = nullptr;
-    if (!take(sizeof(T), &at)) return false;
-    *out = read(at);
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  const char* base_;
-};
 
 constexpr std::size_t kMaxStatName = 256;  ///< sanity bound on decoded names
 
@@ -118,12 +78,12 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
     return make_error(ErrorCode::kChecksum, "replicate table crc mismatch", body);
   }
 
-  Cursor cur(bytes.data(), body);
-  const char* skip = nullptr;
-  (void)cur.take(kTableMagic.size(), &skip);
+  store::ByteCursor cur(bytes.data(), body);
+  cur.take(kTableMagic.size());
 
-  std::uint32_t version = 0, stat_count = 0;
-  if (!cur.u32(&version) || !cur.u32(&stat_count)) {
+  const std::uint32_t version = cur.u32();
+  const std::uint32_t stat_count = cur.u32();
+  if (!cur.ok()) {
     return make_error(ErrorCode::kTruncated, "replicate table header truncated",
                       cur.offset());
   }
@@ -133,18 +93,20 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
   }
 
   ReplicateSummary summary;
-  std::uint64_t max_replicates = 0, min_replicates = 0, batch = 0, replicates = 0;
-  std::uint8_t stop_reason = 0;
-  if (!cur.u64(&summary.options.seed) || !cur.f64(&summary.options.scale) ||
-      !cur.f64(&summary.options.confidence) || !cur.f64(&summary.options.ci_rel) ||
-      !cur.u64(&max_replicates) || !cur.u64(&min_replicates) || !cur.u64(&batch) ||
-      !cur.u64(&replicates) || !cur.u8(&stop_reason) || !cur.take(7, &skip)) {
+  summary.options.seed = cur.u64();
+  summary.options.scale = cur.f64();
+  summary.options.confidence = cur.f64();
+  summary.options.ci_rel = cur.f64();
+  summary.options.max_replicates = cur.u64();
+  summary.options.min_replicates = cur.u64();
+  summary.options.batch = cur.u64();
+  const std::uint64_t replicates = cur.u64();
+  const std::uint8_t stop_reason = cur.u8();
+  cur.take(7);
+  if (!cur.ok()) {
     return make_error(ErrorCode::kTruncated, "replicate table header truncated",
                       cur.offset());
   }
-  summary.options.max_replicates = max_replicates;
-  summary.options.min_replicates = min_replicates;
-  summary.options.batch = batch;
   summary.replicates = replicates;
   if (stop_reason > static_cast<std::uint8_t>(StopReason::kConverged)) {
     return make_error(ErrorCode::kBadValue,
@@ -154,20 +116,25 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
 
   for (std::uint32_t s = 0; s < stat_count; ++s) {
     StatSummary stat;
-    std::uint16_t name_len = 0;
-    if (!cur.u16(&name_len)) {
+    const std::uint16_t name_len = cur.u16();
+    if (!cur.ok()) {
       return make_error(ErrorCode::kTruncated, "statistic name truncated", cur.offset());
     }
     if (name_len == 0 || name_len > kMaxStatName) {
       return make_error(ErrorCode::kBadValue,
                         "statistic name length " + std::to_string(name_len), cur.offset());
     }
-    const char* name = nullptr;
-    std::uint8_t family = 0;
-    if (!cur.take(name_len, &name) || !cur.u8(&family) || !cur.u64(&stat.stopped_at) ||
-        !cur.f64(&stat.mean) || !cur.f64(&stat.stddev) || !cur.f64(&stat.ci.lower) ||
-        !cur.f64(&stat.ci.upper) || !cur.f64(&stat.p025) || !cur.f64(&stat.p500) ||
-        !cur.f64(&stat.p975)) {
+    const char* name = cur.take(name_len);
+    const std::uint8_t family = cur.u8();
+    stat.stopped_at = cur.u64();
+    stat.mean = cur.f64();
+    stat.stddev = cur.f64();
+    stat.ci.lower = cur.f64();
+    stat.ci.upper = cur.f64();
+    stat.p025 = cur.f64();
+    stat.p500 = cur.f64();
+    stat.p975 = cur.f64();
+    if (!cur.ok()) {
       return make_error(ErrorCode::kTruncated, "statistic record truncated", cur.offset());
     }
     stat.name.assign(name, name_len);
@@ -197,7 +164,7 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
   for (std::uint32_t s = 0; s < stat_count; ++s) {
     summary.values[s].resize(replicates);
     for (std::uint64_t r = 0; r < replicates; ++r) {
-      (void)cur.f64(&summary.values[s][r]);
+      summary.values[s][r] = cur.f64();
     }
   }
 
@@ -206,33 +173,12 @@ store::Error decode_table(std::string_view bytes, ReplicateSummary* out) {
 }
 
 store::Error write_table(const std::string& path, const ReplicateSummary& summary) {
-  const std::string image = encode_table(summary);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, "open for write failed: " + path);
-  }
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  const int close_rc = std::fclose(f);
-  if (written != image.size() || close_rc != 0) {
-    return make_error(ErrorCode::kIo, "short write: " + path);
-  }
-  return store::Error{};
+  return store::write_file(path, encode_table(summary));
 }
 
 store::Error read_table(const std::string& path, ReplicateSummary* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, "open failed: " + path);
-  }
   std::string bytes;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return make_error(ErrorCode::kIo, "read failed: " + path);
-  }
+  if (store::Error err = store::read_file(path, &bytes); !err.ok()) return err;
   return decode_table(bytes, out);
 }
 

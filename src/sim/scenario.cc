@@ -1,6 +1,5 @@
 #include "sim/scenario.h"
 
-#include <sstream>
 
 namespace storsubsim::sim {
 
@@ -33,16 +32,6 @@ FleetSimulation run_span_ablation(std::size_t span, double scale, std::uint64_t 
   cohort.raid_span_shelves = span;
   cohort.dual_path_fraction = 0.0;
   return simulate_fleet(cohort_fleet(cohort, scale, seed), params);
-}
-
-std::string MechanismToggles::describe() const {
-  std::ostringstream os;
-  os << "badness=" << (shelf_badness ? "on" : "off") << " hawkes=" << (hawkes ? "on" : "off")
-     << " env=" << (environment_windows ? "on" : "off")
-     << " clusters=" << (interconnect_clusters ? "on" : "off")
-     << " driver=" << (driver_windows ? "on" : "off")
-     << " congestion=" << (congestion_windows ? "on" : "off");
-  return os.str();
 }
 
 SimParams apply_toggles(SimParams params, const MechanismToggles& toggles) {

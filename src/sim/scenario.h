@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "model/fleet_config.h"
@@ -37,8 +36,6 @@ struct MechanismToggles {
   bool interconnect_clusters = true;  // multi-disk fault clusters
   bool driver_windows = true;      // protocol bug epochs
   bool congestion_windows = true;  // performance episodes
-
-  std::string describe() const;
 };
 
 /// Applies knockouts to a parameter set, preserving calibrated mean rates:

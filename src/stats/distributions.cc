@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "stats/special_functions.h"
@@ -40,17 +39,9 @@ double Exponential::quantile(double p) const {
   return -std::log1p(-p) / rate_;
 }
 
-double Exponential::sample(Rng& rng) const { return -std::log(rng.uniform_pos()) / rate_; }
-
 double Exponential::mean() const { return 1.0 / rate_; }
 
 double Exponential::variance() const { return 1.0 / (rate_ * rate_); }
-
-std::string Exponential::describe() const {
-  std::ostringstream os;
-  os << "Exponential(rate=" << rate_ << ")";
-  return os.str();
-}
 
 // ---------------------------------------------------------------------------
 // Gamma
@@ -87,12 +78,6 @@ double Gamma::mean() const { return shape_ * scale_; }
 
 double Gamma::variance() const { return shape_ * scale_ * scale_; }
 
-std::string Gamma::describe() const {
-  std::ostringstream os;
-  os << "Gamma(shape=" << shape_ << ", scale=" << scale_ << ")";
-  return os.str();
-}
-
 // ---------------------------------------------------------------------------
 // Weibull
 // ---------------------------------------------------------------------------
@@ -124,33 +109,6 @@ double Weibull::quantile(double p) const {
   return scale_ * std::pow(-std::log1p(-p), 1.0 / shape_);
 }
 
-double Weibull::sample(Rng& rng) const {
-  return scale_ * std::pow(-std::log(rng.uniform_pos()), 1.0 / shape_);
-}
-
-double Weibull::hazard(double x) const {
-  if (x <= 0.0) {
-    if (shape_ < 1.0) return kInf;
-    if (shape_ == 1.0) return 1.0 / scale_;
-    return 0.0;
-  }
-  return (shape_ / scale_) * std::pow(x / scale_, shape_ - 1.0);
-}
-
-double Weibull::mean() const { return scale_ * gamma_fn(1.0 + 1.0 / shape_); }
-
-double Weibull::variance() const {
-  const double g1 = gamma_fn(1.0 + 1.0 / shape_);
-  const double g2 = gamma_fn(1.0 + 2.0 / shape_);
-  return scale_ * scale_ * (g2 - g1 * g1);
-}
-
-std::string Weibull::describe() const {
-  std::ostringstream os;
-  os << "Weibull(shape=" << shape_ << ", scale=" << scale_ << ")";
-  return os.str();
-}
-
 // ---------------------------------------------------------------------------
 // LogNormal
 // ---------------------------------------------------------------------------
@@ -158,23 +116,6 @@ std::string Weibull::describe() const {
 LogNormal::LogNormal(double mu, double sigma) : mu_(mu), sigma_(sigma) {
   require(std::isfinite(mu), "LogNormal: mu must be finite");
   require(sigma > 0.0 && std::isfinite(sigma), "LogNormal: sigma must be positive and finite");
-}
-
-double LogNormal::pdf(double x) const { return x <= 0.0 ? 0.0 : std::exp(log_pdf(x)); }
-
-double LogNormal::log_pdf(double x) const {
-  if (x <= 0.0) return -kInf;
-  const double z = (std::log(x) - mu_) / sigma_;
-  return -0.5 * z * z - std::log(x * sigma_ * std::sqrt(2.0 * 3.14159265358979323846));
-}
-
-double LogNormal::cdf(double x) const {
-  return x <= 0.0 ? 0.0 : normal_cdf((std::log(x) - mu_) / sigma_);
-}
-
-double LogNormal::quantile(double p) const {
-  require(p > 0.0 && p < 1.0, "LogNormal::quantile: p must be in (0,1)");
-  return std::exp(mu_ + sigma_ * normal_quantile(p));
 }
 
 double LogNormal::sample(Rng& rng) const {
@@ -188,49 +129,6 @@ double LogNormal::variance() const {
   return (std::exp(s2) - 1.0) * std::exp(2.0 * mu_ + s2);
 }
 
-std::string LogNormal::describe() const {
-  std::ostringstream os;
-  os << "LogNormal(mu=" << mu_ << ", sigma=" << sigma_ << ")";
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
-// Pareto
-// ---------------------------------------------------------------------------
-
-Pareto::Pareto(double scale, double shape) : scale_(scale), shape_(shape) {
-  require(scale > 0.0 && std::isfinite(scale), "Pareto: scale must be positive and finite");
-  require(shape > 0.0 && std::isfinite(shape), "Pareto: shape must be positive and finite");
-}
-
-double Pareto::pdf(double x) const {
-  if (x < scale_) return 0.0;
-  return shape_ * std::pow(scale_, shape_) / std::pow(x, shape_ + 1.0);
-}
-
-double Pareto::cdf(double x) const {
-  return x < scale_ ? 0.0 : 1.0 - std::pow(scale_ / x, shape_);
-}
-
-double Pareto::quantile(double p) const {
-  require(p >= 0.0 && p < 1.0, "Pareto::quantile: p must be in [0,1)");
-  return scale_ / std::pow(1.0 - p, 1.0 / shape_);
-}
-
-double Pareto::sample(Rng& rng) const {
-  return scale_ / std::pow(rng.uniform_pos(), 1.0 / shape_);
-}
-
-double Pareto::mean() const {
-  return shape_ <= 1.0 ? kInf : shape_ * scale_ / (shape_ - 1.0);
-}
-
-std::string Pareto::describe() const {
-  std::ostringstream os;
-  os << "Pareto(scale=" << scale_ << ", shape=" << shape_ << ")";
-  return os.str();
-}
-
 // ---------------------------------------------------------------------------
 // Poisson
 // ---------------------------------------------------------------------------
@@ -239,18 +137,10 @@ Poisson::Poisson(double mean) : mean_(mean) {
   require(mean >= 0.0 && std::isfinite(mean), "Poisson: mean must be nonnegative and finite");
 }
 
-double Poisson::pmf(std::uint64_t k) const { return std::exp(log_pmf(k)); }
-
-double Poisson::log_pmf(std::uint64_t k) const {
-  if (mean_ == 0.0) return k == 0 ? 0.0 : -kInf;
+double Poisson::pmf(std::uint64_t k) const {
+  if (mean_ == 0.0) return k == 0 ? 1.0 : 0.0;
   const double kd = static_cast<double>(k);
-  return kd * std::log(mean_) - mean_ - lgamma_fn(kd + 1.0);
-}
-
-double Poisson::cdf(std::uint64_t k) const {
-  if (mean_ == 0.0) return 1.0;
-  // P(X <= k) = Q(k+1, mean).
-  return gamma_q(static_cast<double>(k) + 1.0, mean_);
+  return std::exp(kd * std::log(mean_) - mean_ - lgamma_fn(kd + 1.0));
 }
 
 std::uint64_t Poisson::sample(Rng& rng) const {
@@ -286,12 +176,6 @@ std::uint64_t Poisson::sample(Rng& rng) const {
     if (rng.uniform() < p) ++k;
   }
   return k;
-}
-
-std::string Poisson::describe() const {
-  std::ostringstream os;
-  os << "Poisson(mean=" << mean_ << ")";
-  return os.str();
 }
 
 // ---------------------------------------------------------------------------

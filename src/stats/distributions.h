@@ -1,14 +1,16 @@
-// Probability distributions used by the failure simulator and the
-// distribution-fitting analysis (paper Figure 9: Exponential, Gamma, Weibull
-// fits to time-between-failure data).
+// Probability distributions: the candidates the distribution-fitting
+// analysis fits to time-between-failure data (paper Figure 9: Exponential,
+// Gamma, Weibull) and the samplers the failure simulator draws from (Gamma,
+// LogNormal, Poisson).
 //
-// Each distribution is a small value type with pdf/cdf/quantile/sample
-// members. Parameters are validated at construction; invalid parameters
-// throw std::invalid_argument (configuration error, not a hot path).
+// Each distribution is a small value type: cdf/quantile/log_pdf for the fit
+// candidates, sample() for the simulator's draws, and the closed forms
+// (pdf, mean, variance, pmf) the tests check those against. Parameters are
+// validated at construction; invalid parameters throw std::invalid_argument
+// (configuration error, not a hot path).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "stats/rng.h"
 
@@ -24,13 +26,10 @@ class Exponential {
   double log_pdf(double x) const;
   double cdf(double x) const;
   double quantile(double p) const;
-  double sample(Rng& rng) const;
 
   double mean() const;
   double variance() const;
   double rate() const { return rate_; }
-
-  std::string describe() const;
 
  private:
   double rate_;
@@ -53,8 +52,6 @@ class Gamma {
   double shape() const { return shape_; }
   double scale() const { return scale_; }
 
-  std::string describe() const;
-
  private:
   double shape_;
   double scale_;
@@ -70,17 +67,9 @@ class Weibull {
   double log_pdf(double x) const;
   double cdf(double x) const;
   double quantile(double p) const;
-  double sample(Rng& rng) const;
 
-  /// Hazard rate h(x) = pdf / (1 - cdf); used by the hazard-process layer.
-  double hazard(double x) const;
-
-  double mean() const;
-  double variance() const;
   double shape() const { return shape_; }
   double scale() const { return scale_; }
-
-  std::string describe() const;
 
  private:
   double shape_;
@@ -93,10 +82,6 @@ class LogNormal {
  public:
   LogNormal(double mu, double sigma);
 
-  double pdf(double x) const;
-  double log_pdf(double x) const;
-  double cdf(double x) const;
-  double quantile(double p) const;
   double sample(Rng& rng) const;
 
   double mean() const;
@@ -104,32 +89,9 @@ class LogNormal {
   double mu() const { return mu_; }
   double sigma() const { return sigma_; }
 
-  std::string describe() const;
-
  private:
   double mu_;
   double sigma_;
-};
-
-/// Pareto(scale x_m, shape alpha): heavy-tailed durations (burst windows).
-class Pareto {
- public:
-  Pareto(double scale, double shape);
-
-  double pdf(double x) const;
-  double cdf(double x) const;
-  double quantile(double p) const;
-  double sample(Rng& rng) const;
-
-  double mean() const;  // +inf when shape <= 1
-  double scale() const { return scale_; }
-  double shape() const { return shape_; }
-
-  std::string describe() const;
-
- private:
-  double scale_;
-  double shape_;
 };
 
 /// Poisson(mean). Counting distribution for event counts in fixed windows.
@@ -138,14 +100,10 @@ class Poisson {
   explicit Poisson(double mean);
 
   double pmf(std::uint64_t k) const;
-  double log_pmf(std::uint64_t k) const;
-  double cdf(std::uint64_t k) const;
   std::uint64_t sample(Rng& rng) const;
 
   double mean() const { return mean_; }
   double variance() const { return mean_; }
-
-  std::string describe() const;
 
  private:
   double mean_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace storsubsim::stats {
@@ -26,21 +25,6 @@ double Ecdf::quantile(double p) const {
   const double frac = h - static_cast<double>(lo);
   if (lo + 1 >= sorted_.size()) return sorted_.back();
   return sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
-}
-
-double Ecdf::min() const {
-  return sorted_.empty() ? std::numeric_limits<double>::quiet_NaN() : sorted_.front();
-}
-
-double Ecdf::max() const {
-  return sorted_.empty() ? std::numeric_limits<double>::quiet_NaN() : sorted_.back();
-}
-
-std::vector<double> Ecdf::evaluate(std::span<const double> grid) const {
-  std::vector<double> out;
-  out.reserve(grid.size());
-  for (const double x : grid) out.push_back((*this)(x));
-  return out;
 }
 
 std::vector<double> log_grid(double lo, double hi, std::size_t points) {

@@ -5,9 +5,7 @@
 // matching evaluation grid.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace storsubsim::stats {
@@ -27,12 +25,6 @@ class Ecdf {
 
   std::size_t size() const { return sorted_.size(); }
   bool empty() const { return sorted_.empty(); }
-  double min() const;
-  double max() const;
-  const std::vector<double>& sorted_sample() const { return sorted_; }
-
-  /// Evaluates the CDF at each grid point.
-  std::vector<double> evaluate(std::span<const double> grid) const;
 
  private:
   std::vector<double> sorted_;
@@ -40,22 +32,5 @@ class Ecdf {
 
 /// Log-spaced grid of `points` values spanning [lo, hi] inclusive (lo > 0).
 std::vector<double> log_grid(double lo, double hi, std::size_t points);
-
-/// Kolmogorov–Smirnov distance between an ECDF and a model CDF evaluated as
-/// a callable double(double).
-template <typename Cdf>
-double ks_distance(const Ecdf& ecdf, Cdf&& model) {
-  double d = 0.0;
-  const auto& xs = ecdf.sorted_sample();
-  const double n = static_cast<double>(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double f = model(xs[i]);
-    const double lo = static_cast<double>(i) / n;
-    const double hi = static_cast<double>(i + 1) / n;
-    const double gap = std::max(f - lo, hi - f);
-    if (gap > d) d = gap;
-  }
-  return d;
-}
 
 }  // namespace storsubsim::stats

@@ -27,9 +27,6 @@ FitResult fit_exponential_mle(std::span<const double> xs);
 /// ln(shape) - digamma(shape) = ln(mean) - mean(ln x). Requires x > 0.
 FitResult fit_gamma_mle(std::span<const double> xs);
 
-/// Method-of-moments Gamma fit: shape = mean^2/var, scale = var/mean.
-FitResult fit_gamma_moments(std::span<const double> xs);
-
 /// MLE for Weibull(shape, scale) by Newton iteration on the profile
 /// likelihood in the shape parameter. Requires x > 0.
 FitResult fit_weibull_mle(std::span<const double> xs);

@@ -1,13 +1,14 @@
 // Hypothesis tests used by the paper's analysis:
-//   * two-sample t-tests for cohort comparisons (Figures 6, 7, 10),
+//   * the two-proportion test behind the correlation factor's independence
+//     check (Figure 10); cohort AFR comparisons (Figures 6, 7) use the
+//     Poisson rate test core::rate_comparison_test, which returns the same
+//     TTestResult,
 //   * chi-square goodness-of-fit for distribution fits (Figure 9).
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace storsubsim::stats {
 
@@ -23,13 +24,6 @@ struct TTestResult {
   /// (e.g. confidence 0.995 for the paper's "99.5% confidence interval").
   bool significant_at(double confidence) const { return p_value_two_sided < 1.0 - confidence; }
 };
-
-/// Welch's unequal-variance two-sample t-test on raw samples.
-TTestResult welch_t_test(std::span<const double> a, std::span<const double> b);
-
-/// Welch's t-test from sufficient statistics (mean, sample variance, n).
-TTestResult welch_t_test_summary(double mean_a, double var_a, std::size_t n_a, double mean_b,
-                                 double var_b, std::size_t n_b);
 
 /// Two-proportion z-test expressed as a t-test result (large-sample), used
 /// for comparing failure fractions between cohorts.
@@ -61,24 +55,5 @@ ChiSquareResult chi_square_gof(std::span<const double> xs,
 ChiSquareResult chi_square_from_counts(std::span<const double> observed,
                                        std::span<const double> expected,
                                        std::size_t fitted_params);
-
-struct KsResult {
-  double statistic = 0.0;  ///< sup |F_n - F|
-  double p_value = 1.0;    ///< asymptotic Kolmogorov tail
-  std::size_t n = 0;
-
-  bool rejected_at(double alpha) const { return p_value < alpha; }
-};
-
-/// Survival function of the Kolmogorov distribution:
-/// P(sqrt(n) D_n > x) for large n.
-double kolmogorov_sf(double x);
-
-/// One-sample Kolmogorov-Smirnov test of a sample against a fully-specified
-/// model CDF. (With fitted parameters the p-value is anti-conservative, as
-/// for any plug-in GoF test — prefer chi_square_gof with its df correction
-/// when parameters were estimated from the same data.)
-KsResult ks_test(std::span<const double> xs,
-                 const std::function<double(double)>& model_cdf);
 
 }  // namespace storsubsim::stats

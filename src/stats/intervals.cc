@@ -19,15 +19,6 @@ double z_for(double confidence) {
 
 }  // namespace
 
-Interval proportion_ci_wald(std::size_t successes, std::size_t total, double confidence) {
-  if (total == 0) throw std::invalid_argument("proportion_ci: total == 0");
-  const double n = static_cast<double>(total);
-  const double p = static_cast<double>(successes) / n;
-  const double z = z_for(confidence);
-  const double hw = z * std::sqrt(p * (1.0 - p) / n);
-  return {std::max(0.0, p - hw), std::min(1.0, p + hw), p};
-}
-
 Interval proportion_ci_wilson(std::size_t successes, std::size_t total, double confidence) {
   if (total == 0) throw std::invalid_argument("proportion_ci: total == 0");
   const double n = static_cast<double>(total);
@@ -48,15 +39,6 @@ Interval rate_ci_garwood(std::size_t events, double exposure, double confidence)
       events == 0 ? 0.0 : 0.5 * chi_square_quantile(alpha / 2.0, 2.0 * k) / exposure;
   const double upper = 0.5 * chi_square_quantile(1.0 - alpha / 2.0, 2.0 * (k + 1.0)) / exposure;
   return {lower, upper, k / exposure};
-}
-
-Interval rate_ci_normal(std::size_t events, double exposure, double confidence) {
-  if (!(exposure > 0.0)) throw std::invalid_argument("rate_ci: exposure must be > 0");
-  const double k = static_cast<double>(events);
-  const double rate = k / exposure;
-  const double z = z_for(confidence);
-  const double hw = z * std::sqrt(k) / exposure;
-  return {std::max(0.0, rate - hw), rate + hw, rate};
 }
 
 Interval mean_ci(double mean, double sample_variance, std::size_t n, double confidence) {

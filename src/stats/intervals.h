@@ -19,9 +19,6 @@ struct Interval {
   }
 };
 
-/// Normal-approximation (Wald) CI for a binomial proportion.
-Interval proportion_ci_wald(std::size_t successes, std::size_t total, double confidence);
-
 /// Wilson score interval — well-behaved for small counts and extreme p.
 Interval proportion_ci_wilson(std::size_t successes, std::size_t total, double confidence);
 
@@ -29,9 +26,6 @@ Interval proportion_ci_wilson(std::size_t successes, std::size_t total, double c
 /// exact Garwood interval via chi-square quantiles. Returns the rate, i.e.
 /// events per unit exposure.
 Interval rate_ci_garwood(std::size_t events, double exposure, double confidence);
-
-/// Normal-approximation CI for a Poisson rate (events / exposure).
-Interval rate_ci_normal(std::size_t events, double exposure, double confidence);
 
 /// t-based CI for a mean from summary statistics.
 Interval mean_ci(double mean, double sample_variance, std::size_t n, double confidence);

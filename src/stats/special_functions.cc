@@ -33,8 +33,6 @@ double lgamma_fn(double x) {
   return 0.5 * std::log(2.0 * kPi) + (z + 0.5) * std::log(t) - t + std::log(sum);
 }
 
-double gamma_fn(double x) { return std::exp(lgamma_fn(x)); }
-
 double digamma(double x) {
   if (!(x > 0.0)) return std::numeric_limits<double>::quiet_NaN();
   double result = 0.0;
@@ -155,10 +153,6 @@ double gamma_p_inv(double a, double p) {
   return x;
 }
 
-double erf_fn(double x) { return std::erf(x); }
-
-double erfc_fn(double x) { return std::erfc(x); }
-
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double normal_quantile(double p) {
@@ -261,12 +255,6 @@ double student_t_cdf(double t, double nu) {
   const double x = nu / (nu + t * t);
   const double p_half = 0.5 * beta_inc(0.5 * nu, 0.5, x);
   return (t >= 0.0) ? 1.0 - p_half : p_half;
-}
-
-double student_t_two_sided_p(double t, double nu) {
-  if (!(nu > 0.0)) return std::numeric_limits<double>::quiet_NaN();
-  const double x = nu / (nu + t * t);
-  return beta_inc(0.5 * nu, 0.5, x);
 }
 
 double student_t_quantile(double p, double nu) {

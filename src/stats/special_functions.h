@@ -10,9 +10,6 @@ namespace storsubsim::stats {
 /// Natural log of the gamma function, x > 0. (Lanczos approximation.)
 double lgamma_fn(double x);
 
-/// Gamma function, x > 0. Overflows to +inf for x > ~171.
-double gamma_fn(double x);
-
 /// Digamma (psi) function, x > 0: d/dx ln Gamma(x).
 double digamma(double x);
 
@@ -29,12 +26,6 @@ double gamma_q(double a, double x);
 /// Inverse of gamma_p in x for fixed a: returns x with P(a, x) = p.
 double gamma_p_inv(double a, double p);
 
-/// Error function.
-double erf_fn(double x);
-
-/// Complementary error function, accurate for large |x|.
-double erfc_fn(double x);
-
 /// Standard normal CDF.
 double normal_cdf(double z);
 
@@ -50,9 +41,6 @@ double lbeta(double a, double b);
 
 /// Student-t CDF with `nu` degrees of freedom.
 double student_t_cdf(double t, double nu);
-
-/// Two-sided p-value for a Student-t statistic.
-double student_t_two_sided_p(double t, double nu);
 
 /// Student-t quantile (inverse CDF), p in (0, 1).
 double student_t_quantile(double p, double nu);

@@ -1,4 +1,4 @@
-// Streaming summary statistics (Welford accumulators) and small helpers.
+// Streaming summary statistics (a Welford accumulator) and the span mean.
 #pragma once
 
 #include <cstddef>
@@ -10,22 +10,14 @@ namespace storsubsim::stats {
 class Accumulator {
  public:
   void add(double x);
-  void merge(const Accumulator& other);
 
   std::size_t count() const { return n_; }
   double mean() const;
   /// Unbiased sample variance (n-1 denominator); 0 for n < 2.
   double variance() const;
-  /// Population variance (n denominator); 0 for n < 1.
-  double population_variance() const;
   double stddev() const;
-  /// Standard error of the mean.
-  double std_error() const;
   double min() const { return min_; }
   double max() const { return max_; }
-  double sum() const;
-  /// Coefficient of variation stddev/mean; 0 when mean == 0.
-  double coefficient_of_variation() const;
 
  private:
   std::size_t n_ = 0;
@@ -35,29 +27,7 @@ class Accumulator {
   double max_ = 0.0;
 };
 
-/// Weighted variant: each observation carries a nonnegative weight
-/// (e.g. exposure time in device-years).
-class WeightedAccumulator {
- public:
-  void add(double x, double weight);
-
-  double total_weight() const { return w_; }
-  double mean() const;
-  /// Frequency-weighted population variance.
-  double variance() const;
-  double stddev() const;
-  std::size_t count() const { return n_; }
-
- private:
-  std::size_t n_ = 0;
-  double w_ = 0.0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// One-shot helpers over a span.
+/// Mean of a span; 0 when empty.
 double mean_of(std::span<const double> xs);
-double variance_of(std::span<const double> xs);  // sample variance (n-1)
-double stddev_of(std::span<const double> xs);
 
 }  // namespace storsubsim::stats

@@ -24,7 +24,6 @@ KaplanMeier KaplanMeier::fit(std::span<const SurvivalObservation> observations) 
             });
 
   double survival = 1.0;
-  double greenwood = 0.0;
   std::size_t i = 0;
   std::size_t at_risk = sorted.size();
   while (i < sorted.size()) {
@@ -40,9 +39,7 @@ KaplanMeier KaplanMeier::fit(std::span<const SurvivalObservation> observations) 
       const double n = static_cast<double>(at_risk);
       const double d = static_cast<double>(events);
       survival *= (n - d) / n;
-      if (n > d) greenwood += d / (n * (n - d));
       km.points_.push_back(SurvivalPoint{t, survival, at_risk, events});
-      km.greenwood_.push_back(greenwood);
       km.events_ += events;
     }
     at_risk -= leaving;
@@ -64,16 +61,6 @@ double KaplanMeier::median() const {
     if (p.survival <= 0.5) return p.time;
   }
   return std::numeric_limits<double>::infinity();
-}
-
-double KaplanMeier::greenwood_variance(double t) const {
-  const auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](double x, const SurvivalPoint& p) { return x < p.time; });
-  if (it == points_.begin()) return 0.0;
-  const auto idx = static_cast<std::size_t>(it - points_.begin()) - 1;
-  const double s = points_[idx].survival;
-  return s * s * greenwood_[idx];
 }
 
 std::vector<HazardBin> hazard_by_age(std::span<const SurvivalObservation> observations,

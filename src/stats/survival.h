@@ -39,16 +39,12 @@ class KaplanMeier {
   /// (heavy censoring — the common case for disks).
   double median() const;
 
-  /// Greenwood variance of S(t) (for confidence bands).
-  double greenwood_variance(double t) const;
-
   const std::vector<SurvivalPoint>& curve() const { return points_; }
   std::size_t subjects() const { return n_; }
   std::size_t total_events() const { return events_; }
 
  private:
   std::vector<SurvivalPoint> points_;
-  std::vector<double> greenwood_;  // cumulative sum d/(n(n-d)) per point
   std::size_t n_ = 0;
   std::size_t events_ = 0;
 };

@@ -450,14 +450,6 @@ void bitmap_and(std::uint64_t* dst, const std::uint64_t* src,
   for (std::size_t w = 0; w < words; ++w) dst[w] &= src[w];
 }
 
-std::uint64_t popcount_words(const std::uint64_t* bm, std::size_t words) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    total += static_cast<std::uint64_t>(std::popcount(bm[w]));
-  }
-  return total;
-}
-
 std::uint64_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t words) noexcept {
   std::uint64_t total = 0;

@@ -105,9 +105,6 @@ void bitmap_time_window(const double* time, std::size_t n, bool have_begin,
 void bitmap_and(std::uint64_t* dst, const std::uint64_t* src,
                 std::size_t words) noexcept;
 
-/// Population count of `words` words.
-std::uint64_t popcount_words(const std::uint64_t* bm, std::size_t words) noexcept;
-
 /// popcount(a & b) without materializing the intersection.
 std::uint64_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t words) noexcept;

@@ -179,6 +179,53 @@ inline double read_f64(const char* p) noexcept {
   return v;
 }
 
+/// Bounds-checked forward reader over a byte range (the STORCOL1 footer, a
+/// STORREP1 table). An overrun latches ok() == false: that read and every
+/// later one return zero (take() returns nullptr) without moving, so a
+/// decoder checks once after a group of reads and offset() still names the
+/// first read that did not fit.
+class ByteCursor {
+ public:
+  ByteCursor(const char* data, std::size_t size) noexcept
+      : base_(data), p_(data), end_(data + size) {}
+
+  bool ok() const noexcept { return ok_; }
+  std::size_t remaining() const noexcept {
+    return ok_ ? static_cast<std::size_t>(end_ - p_) : 0;
+  }
+  std::uint64_t offset() const noexcept { return static_cast<std::uint64_t>(p_ - base_); }
+
+  /// The next `n` bytes, or nullptr (and the latch) when fewer remain.
+  const char* take(std::size_t n) noexcept {
+    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
+      ok_ = false;
+      return nullptr;
+    }
+    const char* at = p_;
+    p_ += n;
+    return at;
+  }
+
+  std::uint8_t u8() noexcept { return scalar<std::uint8_t>(); }
+  std::uint16_t u16() noexcept { return scalar<std::uint16_t>(); }
+  std::uint32_t u32() noexcept { return scalar<std::uint32_t>(); }
+  std::uint64_t u64() noexcept { return scalar<std::uint64_t>(); }
+  double f64() noexcept { return scalar<double>(); }
+
+ private:
+  template <typename T>
+  T scalar() noexcept {
+    T v{};
+    if (const char* at = take(sizeof(T)); at != nullptr) std::memcpy(&v, at, sizeof(T));
+    return v;
+  }
+
+  const char* base_;
+  const char* p_;
+  const char* end_;
+  bool ok_ = true;
+};
+
 // --- varint (LEB128) + zigzag ----------------------------------------------
 
 inline std::uint64_t zigzag_encode(std::int64_t v) noexcept {

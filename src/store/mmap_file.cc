@@ -1,6 +1,6 @@
 #include "store/mmap_file.h"
 
-#include <utility>
+#include <cstdio>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define STORSUBSIM_HAVE_MMAP 1
@@ -10,27 +10,11 @@
 #include <unistd.h>
 #else
 #define STORSUBSIM_HAVE_MMAP 0
-#include <cstdio>
 #endif
 
 namespace storsubsim::store {
 
 MmapFile::~MmapFile() { reset(); }
-
-MmapFile::MmapFile(MmapFile&& other) noexcept { *this = std::move(other); }
-
-MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
-  if (this == &other) return *this;
-  reset();
-  fallback_ = std::move(other.fallback_);
-  is_mmap_ = other.is_mmap_;
-  size_ = other.size_;
-  data_ = is_mmap_ ? other.data_ : fallback_.data();
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.is_mmap_ = false;
-  return *this;
-}
 
 void MmapFile::reset() noexcept {
 #if STORSUBSIM_HAVE_MMAP
@@ -75,24 +59,45 @@ Error MmapFile::open(const std::string& path) {
   is_mmap_ = true;
   return Error{};
 #else
+  if (Error err = read_file(path, &fallback_); !err.ok()) return err;
+  data_ = fallback_.data();
+  size_ = fallback_.size();
+  return Error{};
+#endif
+}
+
+Error write_file(const std::string& path, std::string_view bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return make_error(ErrorCode::kIo, std::string("cannot create ").append(path));
+  }
+  // fclose flushes the stdio buffer, so it reports a write the device refused
+  // (a full disk, /dev/full) that fwrite accepted into the buffer.
+  const bool written =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() && std::ferror(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    return make_error(ErrorCode::kIo, std::string("short write to ").append(path));
+  }
+  return Error{};
+}
+
+Error read_file(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return make_error(ErrorCode::kIo, std::string("cannot open ").append(path));
   }
+  out->clear();
   char buf[1 << 16];
   std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    fallback_.append(buf, n);
-  }
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
+  // A directory opens but does not read (EISDIR): ferror, not an empty file.
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) {
     return make_error(ErrorCode::kIo, std::string("read failed for ").append(path));
   }
-  data_ = fallback_.data();
-  size_ = fallback_.size();
   return Error{};
-#endif
 }
 
 }  // namespace storsubsim::store

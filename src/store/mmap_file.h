@@ -5,6 +5,9 @@
 // Hosts without mmap — or zero-length files, which mmap rejects — fall back
 // to reading the bytes into an owned buffer; callers cannot tell the
 // difference and the corruption checks behave identically.
+//
+// write_file/read_file are the one checked writer and reader of whole files
+// (store images, shard MANIFESTs, replicate tables, the CLI's text inputs).
 #pragma once
 
 #include <cstddef>
@@ -22,8 +25,6 @@ class MmapFile {
 
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
-  MmapFile(MmapFile&& other) noexcept;
-  MmapFile& operator=(MmapFile&& other) noexcept;
 
   /// Maps (or reads) `path`. On failure returns a kIo error and leaves the
   /// object empty.
@@ -42,5 +43,13 @@ class MmapFile {
   bool is_mmap_ = false;
   std::string fallback_;  ///< owns the bytes when mmap is unavailable
 };
+
+/// Writes `bytes` to `path`, replacing it. A failed open, write or close
+/// (the close flushes) is a kIo error, never a silently short file.
+[[nodiscard]] Error write_file(const std::string& path, std::string_view bytes);
+
+/// Reads the whole of `path` into `*out`. A path that does not open, or that
+/// opens but does not read (a directory), is a kIo error.
+[[nodiscard]] Error read_file(const std::string& path, std::string* out);
 
 }  // namespace storsubsim::store

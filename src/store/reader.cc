@@ -10,38 +10,6 @@ namespace storsubsim::store {
 
 namespace {
 
-/// Bounds-checked forward reader over the footer bytes. Any overrun latches
-/// `ok() == false` and subsequent reads return zeros — callers check once.
-class Cursor {
- public:
-  Cursor(const char* p, const char* end) : p_(p), end_(end) {}
-
-  bool ok() const noexcept { return ok_; }
-  std::size_t remaining() const noexcept {
-    return ok_ ? static_cast<std::size_t>(end_ - p_) : 0;
-  }
-
-  std::uint8_t u8() { return take(1) ? read_u8(p_ - 1) : 0; }
-  std::uint16_t u16() { return take(2) ? read_u16(p_ - 2) : 0; }
-  std::uint32_t u32() { return take(4) ? read_u32(p_ - 4) : 0; }
-  std::uint64_t u64() { return take(8) ? read_u64(p_ - 8) : 0; }
-  double f64() { return take(8) ? read_f64(p_ - 8) : 0.0; }
-
- private:
-  bool take(std::size_t n) {
-    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return false;
-    }
-    p_ += n;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
-
 /// Topology columns and the header count each must agree with.
 struct TopologySpec {
   ColumnId id;
@@ -152,7 +120,7 @@ Error EventStore::load() {
   }
 
   // --- footer payload --------------------------------------------------------
-  Cursor cur(data_ + fo, data_ + size_ - 4);
+  ByteCursor cur(data_ + fo, static_cast<std::size_t>(fs - 4));
 
   for (auto& v : meta_.sim_events_by_type) v = cur.u64();
   meta_.sim_replacements = cur.u64();

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "store/mmap_file.h"
 #include "store/parts.h"
 
 namespace storsubsim::store {
@@ -173,27 +174,6 @@ bool parse_hex_f64(std::string_view tok, double* v) {
 }
 
 // --- small file helpers ------------------------------------------------------
-
-[[nodiscard]] Error read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, std::string("cannot open ").append(path));
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  out->clear();
-  if (size > 0) {
-    out->resize(static_cast<std::size_t>(size));
-    const std::size_t got = std::fread(out->data(), 1, out->size(), f);
-    if (got != out->size()) {
-      std::fclose(f);
-      return make_error(ErrorCode::kIo, std::string("short read from ").append(path));
-    }
-  }
-  std::fclose(f);
-  return Error{};
-}
 
 /// File size + CRC32 of the first kHeaderSize bytes (returned in `head`),
 /// without mapping or reading the rest of the file.
@@ -544,18 +524,7 @@ Error derive_shard_bases(ShardManifest* manifest) {
 }
 
 Error write_manifest_file(const std::string& dir, const ShardManifest& manifest) {
-  const std::string image = render_manifest(manifest);
-  const std::string path = shard_path(dir, std::string(kManifestFileName));
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return make_error(ErrorCode::kIo, std::string("cannot create ").append(path));
-  }
-  const std::size_t written = std::fwrite(image.data(), 1, image.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != image.size() || !close_ok) {
-    return make_error(ErrorCode::kIo, std::string("short write to ").append(path));
-  }
-  return Error{};
+  return write_file(shard_path(dir, std::string(kManifestFileName)), render_manifest(manifest));
 }
 
 Error merge_shard_tables(const std::string& dir, ShardManifest* manifest) {

@@ -124,9 +124,13 @@ TEST(AfrGroupings, ByDiskAndShelfModelLabels) {
   const auto by_disk = core::afr_by_disk_model(ds);
   ASSERT_EQ(by_disk.size(), 1u);
   EXPECT_EQ(by_disk[0].label, "Disk D-3");
-  const auto by_shelf = core::afr_by_shelf_model(ds);
-  ASSERT_EQ(by_shelf.size(), 1u);
-  EXPECT_EQ(by_shelf[0].label, "Shelf Model B");
+  // Shelf-model cohorts (Figure 6) are Filter::shelf_model selections.
+  core::Filter shelf_b;
+  shelf_b.shelf_model = model::ShelfModelName{'B'};
+  EXPECT_EQ(ds.filter(shelf_b).selected_system_count(), 1u);
+  core::Filter shelf_a;
+  shelf_a.shelf_model = model::ShelfModelName{'A'};
+  EXPECT_EQ(ds.filter(shelf_a).selected_system_count(), 0u);
 }
 
 TEST(AfrGroupings, ByPathConfig) {

@@ -162,7 +162,6 @@ TEST(Dataset, ScopeCountsAndExposures) {
   EXPECT_EQ(ds.selected_shelf_count(), 2u);
   EXPECT_EQ(ds.selected_raid_group_count(), 2u);
   // Both systems deployed at 0 over a 1-year horizon.
-  EXPECT_NEAR(ds.shelf_exposure_years(), 2.0, 1e-9);
   EXPECT_NEAR(ds.raid_group_exposure_years(), 2.0, 1e-9);
 }
 

@@ -8,8 +8,6 @@
 #include "core/store_bridge.h"
 #include "model/fleet_config.h"
 #include "sim/scenario.h"
-#include "stats/bootstrap.h"
-#include "stats/summary.h"
 #include "util/parallel.h"
 
 namespace core = storsubsim::core;
@@ -106,8 +104,8 @@ TEST_P(DualPathFraction, MoreDualPathsLowerInterconnectAfr) {
 INSTANTIATE_TEST_SUITE_P(Fractions, DualPathFraction, ::testing::Values(0.3, 0.6));
 
 // The fleet-parallel execution layer's contract: the full pipeline
-// (simulate -> snapshot and log round trips -> classify) and bootstrap CIs
-// are bit-identical for any worker count. Exercised at two scales; the
+// (simulate -> snapshot and log round trips -> classify) and the store
+// bytes are bit-identical for any worker count. Exercised at two scales; the
 // larger one is big enough to engage the sharded log pipeline. The uneven
 // thread counts cut the snapshot text into uneven line-range slices.
 class ThreadInvariance : public ::testing::TestWithParam<double> {
@@ -192,27 +190,6 @@ TEST_P(ThreadInvariance, StoreBytesIdenticalAcrossThreadCounts) {
     ASSERT_EQ(serial_image.size(), parallel_image.size()) << threads;
     EXPECT_EQ(serial_image, parallel_image) << threads;
   }
-}
-
-TEST_P(ThreadInvariance, BootstrapCiBitIdenticalAcrossThreadCounts) {
-  namespace stats = storsubsim::stats;
-  // Sample size scales with the parameter so both test points differ.
-  const std::size_t n = static_cast<std::size_t>(1000.0 * GetParam());
-  stats::Rng data_rng(13);
-  std::vector<double> xs(n);
-  for (auto& x : xs) x = data_rng.uniform(0.0, 10.0);
-  auto mean_stat = [](std::span<const double> s) { return stats::mean_of(s); };
-
-  storsubsim::util::set_thread_count(1);
-  stats::Rng r1(99);
-  const auto serial = stats::bootstrap_ci(xs, mean_stat, 0.95, 2000, r1);
-  storsubsim::util::set_thread_count(4);
-  stats::Rng r2(99);
-  const auto parallel = stats::bootstrap_ci(xs, mean_stat, 0.95, 2000, r2);
-
-  EXPECT_DOUBLE_EQ(serial.lower, parallel.lower);
-  EXPECT_DOUBLE_EQ(serial.upper, parallel.upper);
-  EXPECT_DOUBLE_EQ(serial.point, parallel.point);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, ThreadInvariance, ::testing::Values(0.05, 0.2));

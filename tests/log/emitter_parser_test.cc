@@ -75,13 +75,13 @@ TEST(PropagationChain, EveryTypeEndsAtRaidLayer) {
     log_ns::LineWriter text;
     const auto chain = emit_and_parse(text, sample_failure(type));
     ASSERT_GE(chain.size(), 2u) << model::to_string(type);
-    EXPECT_EQ(chain.back().layer(), log_ns::Layer::kRaid);
+    EXPECT_TRUE(chain.back().code.starts_with("raid.")) << chain.back().code;
     const auto terminal_type = log_ns::failure_type_of(chain.back().code_id);
     ASSERT_TRUE(terminal_type.has_value());
     EXPECT_EQ(*terminal_type, type);
     // Precursors are below the RAID layer.
     for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-      EXPECT_NE(chain[i].layer(), log_ns::Layer::kRaid) << chain[i].code;
+      EXPECT_FALSE(chain[i].code.starts_with("raid.")) << chain[i].code;
     }
   }
 }

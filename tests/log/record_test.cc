@@ -1,4 +1,4 @@
-// Log record taxonomy: layer attribution and RAID-code <-> failure-type maps.
+// Log record taxonomy: severities and RAID-code <-> failure-type maps.
 #include "log/record.h"
 
 #include "log/codes.h"
@@ -19,14 +19,6 @@ TEST(Severity, RoundTrip) {
     EXPECT_EQ(*parsed, s);
   }
   EXPECT_FALSE(log_ns::parse_severity("fatal").has_value());
-}
-
-TEST(Layer, DerivedFromCodePrefix) {
-  EXPECT_EQ(log_ns::layer_of_code("fci.device.timeout"), log_ns::Layer::kFibreChannel);
-  EXPECT_EQ(log_ns::layer_of_code("scsi.cmd.noMorePaths"), log_ns::Layer::kScsi);
-  EXPECT_EQ(log_ns::layer_of_code("disk.ioMediumError"), log_ns::Layer::kDiskDriver);
-  EXPECT_EQ(log_ns::layer_of_code("raid.config.disk.failed"), log_ns::Layer::kRaid);
-  EXPECT_EQ(log_ns::layer_of_code("nvram.battery.low"), log_ns::Layer::kOther);
 }
 
 TEST(RaidCodes, OnePerFailureTypeAndDistinct) {

@@ -43,14 +43,6 @@ TEST(ApplyToggles, DefaultTogglesChangeNothing) {
                    q.protocol_incidents.clustered_fraction);
 }
 
-TEST(MechanismToggles, DescribeListsState) {
-  sim::MechanismToggles t;
-  t.hawkes = false;
-  const auto s = t.describe();
-  EXPECT_NE(s.find("hawkes=off"), std::string::npos);
-  EXPECT_NE(s.find("badness=on"), std::string::npos);
-}
-
 TEST(SpanAblation, ProducesConfiguredSpan) {
   for (const std::size_t span : {1u, 3u}) {
     auto fs = sim::run_span_ablation(span, 0.02, 5);

@@ -497,3 +497,50 @@ TEST(CliUsage, BadNumericFlagsExitTwoWithAMessage) {
   }
   EXPECT_NE(::access(logs.c_str(), F_OK), 0) << "simulate ran despite a bad --threads";
 }
+
+// /dev/full accepts open() and refuses every write with ENOSPC, so it
+// stands in for a full disk. The write only fails when a buffer is flushed,
+// which is where an unchecked stream loses the error.
+bool have_dev_full() { return ::access("/dev/full", W_OK) == 0; }
+
+TEST_F(CliTest, SimulateFailsWhenTheDeviceRefusesTheWrite) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full";
+  const std::string logs = temp_path("cli_full.log");
+  const std::string snap = temp_path("cli_full.snap");
+  for (const auto& [log_arg, snap_arg] :
+       {std::pair{std::string("/dev/full"), snap}, std::pair{logs, std::string("/dev/full")}}) {
+    const auto [status, err] = run_cli_stderr("simulate --scale 0.01 --seed 4 --logs " +
+                                              log_arg + " --snapshot " + snap_arg);
+    ASSERT_TRUE(WIFEXITED(status)) << err;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << log_arg << " " << snap_arg << "\n" << err;
+    EXPECT_NE(err.find("cannot write /dev/full"), std::string::npos) << err;
+    EXPECT_EQ(err.find("wrote "), std::string::npos) << err;
+  }
+  std::remove(logs.c_str());
+  std::remove(snap.c_str());
+}
+
+TEST_F(CliTest, ManifestAndTraceFailWhenTheDeviceRefusesTheWrite) {
+  if (!have_dev_full()) GTEST_SKIP() << "no /dev/full";
+  const std::string base_args =
+      "analyze --logs " + logs_path_ + " --snapshot " + snap_path_ + " --report afr";
+  for (const char* flag : {"--manifest", "--trace"}) {
+    const auto [status, err] = run_cli_stderr(base_args + " " + flag + " /dev/full");
+    ASSERT_TRUE(WIFEXITED(status)) << err;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << flag << "\n" << err;
+    EXPECT_NE(err.find("cannot write"), std::string::npos) << flag << "\n" << err;
+  }
+}
+
+TEST_F(CliTest, AnalyzeRejectsADirectoryAsAnInputFile) {
+  // A directory opens for reading but does not read: not an empty log.
+  const std::string dir = ::testing::TempDir();
+  for (const std::string& args :
+       {"analyze --logs " + dir + " --snapshot " + snap_path_ + " --report afr",
+        "analyze --logs " + logs_path_ + " --snapshot " + dir + " --report afr"}) {
+    const auto [status, err] = run_cli_stderr(args);
+    ASSERT_TRUE(WIFEXITED(status)) << err;
+    EXPECT_NE(WEXITSTATUS(status), 0) << args;
+    EXPECT_NE(err.find("cannot read"), std::string::npos) << args << "\n" << err;
+  }
+}

@@ -52,7 +52,7 @@ constexpr std::string_view kRngEngines[] = {
 };
 
 // The <random> distribution types by name (a bare `_distribution` suffix
-// would also catch project functions like stats::bootstrap_distribution).
+// would also catch any project function whose name ends that way).
 constexpr std::string_view kStdDistributions[] = {
     "uniform_int_distribution",   "uniform_real_distribution",
     "bernoulli_distribution",     "binomial_distribution",

@@ -4,7 +4,7 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (621 cases: unit/integration tests, the storsim_lint fixture
+#   2. ctest (590 cases: unit/integration tests, the storsim_lint fixture
 #      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
 #      cases).
 #      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
@@ -55,20 +55,25 @@
 #      once untraced and twice traced at scale 0.02, reports every metric
 #      BENCHMARK.json names, passes its output checks, and repeats its
 #      deterministic counts exactly
+#  12. linker gate (tools/unlinked_functions.sh): every shipped program is
+#      rebuilt at -O0 -fno-inline -ffunction-sections and linked with
+#      --gc-sections in build-unlinked/; every out-of-line storsubsim::
+#      function in the src/ archives that no program links must be an
+#      allowlisted test seam or oracle (tools/unlinked_functions.allow)
 #
 # Sanitizer passes are heavier and live in tools/run_sanitizer.sh.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== [1/11] configure + build =="
+echo "== [1/12] configure + build =="
 cmake --preset default
 cmake --build --preset default -j "$(nproc)"
 
-echo "== [2/11] ctest =="
+echo "== [2/12] ctest =="
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 
-echo "== [3/11] storsim_lint =="
+echo "== [3/12] storsim_lint =="
 # Emit the machine-readable report first (it must exist even when the gate
 # below fails, so CI can surface the findings), then run the human gate.
 ./build/tools/storsim_lint --format=json --root . src bench tests tools/storsubsim_cli.cc \
@@ -76,7 +81,7 @@ echo "== [3/11] storsim_lint =="
 ./build/tools/storsim_lint --check --root . src bench tests tools/storsubsim_cli.cc examples
 echo "machine-readable report: build/lint-report.json"
 
-echo "== [4/11] store round-trip (full scale) + corruption smoke =="
+echo "== [4/12] store round-trip (full scale) + corruption smoke =="
 ./build/bench/store_bench --scale=1.0 --repeat=1 \
   --store=build/BENCH_checks.store --manifest=build/BENCH_store_checks.json
 # Thread-count identity at paper scale: a serial build and a three-worker
@@ -101,7 +106,7 @@ for broken in build/BENCH_checks_truncated.store build/BENCH_checks_flipped.stor
 done
 echo "corrupted stores rejected with typed errors"
 
-echo "== [5/11] observability: byte identity + manifest + overhead =="
+echo "== [5/12] observability: byte identity + manifest + overhead =="
 # Byte identity at full scale: the store built in step 4 feeds the same
 # analyze invocation with the obs stack off and fully on. --input also
 # exercises the STORCOL1 magic sniffing path.
@@ -157,7 +162,7 @@ else
   echo "python3 unavailable; skipping the <2% overhead comparison"
 fi
 
-echo "== [6/11] sharded store: bounded-memory build + merged-answer identity =="
+echo "== [6/12] sharded store: bounded-memory build + merged-answer identity =="
 # Full-scale sharded build under a budget the monolithic writer exceeds
 # (step 4's single-file build peaks around 630 MiB on this fleet). The build
 # records its own peak RSS in the directory's build.manifest.json.
@@ -213,7 +218,7 @@ else
   echo "python3 unavailable; skipping the RSS-budget assertion"
 fi
 
-echo "== [7/11] decode-kernel identity: scalar build vs SIMD build =="
+echo "== [7/12] decode-kernel identity: scalar build vs SIMD build =="
 # A scalar-only build (-DSTORSUBSIM_SIMD=OFF) must answer the full-scale
 # analyze byte for byte like the default build: the wide kernels may only
 # change speed, never output. Reuses the step-4 store so both binaries read
@@ -230,7 +235,7 @@ for report in afr burstiness correlation; do
 done
 echo "scalar-kernel build byte-identical to the SIMD build (afr, burstiness, correlation)"
 
-echo "== [8/11] storsimd: daemon byte-identity + QPS floor + drain =="
+echo "== [8/12] storsimd: daemon byte-identity + QPS floor + drain =="
 # A real `storsubsim serve` daemon over the full-scale store from step 4,
 # driven by parallel `storsubsim client` invocations: every endpoint must be
 # byte-identical to the offline path, and SIGTERM must drain cleanly
@@ -305,7 +310,7 @@ else
   echo "python3 unavailable; QPS floor grep-checked for identity only"
 fi
 
-echo "== [9/11] clang-tidy =="
+echo "== [9/12] clang-tidy =="
 if command -v clang-tidy > /dev/null 2>&1; then
   cmake --preset default -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
   # Lint the library sources; headers are pulled in via HeaderFilterRegex.
@@ -315,7 +320,7 @@ else
   echo "clang-tidy not installed; skipping (config: .clang-tidy)"
 fi
 
-echo "== [10/11] replication: thread-invariance + analyze --replicates + early stop =="
+echo "== [10/12] replication: thread-invariance + analyze --replicates + early stop =="
 # The determinism contract on the Monte Carlo replicator: replicate seeds are
 # keyed substreams of the root seed, so the table and the report must not
 # depend on the thread count (docs/REPLICATION.md).
@@ -358,10 +363,13 @@ else
   echo "python3 unavailable; early-stop manifest grep-checked only"
 fi
 
-echo "== [11/11] repository benchmark smoke =="
+echo "== [11/12] repository benchmark smoke =="
 # Builds perfbench/ (the libraries from this tree plus its driver) on first
 # use into $CARGO_TARGET_DIR or .bench_build/, then runs every workload at a
 # tiny scale. Needs python3, which the benchmark itself requires.
 python3 perfbench/smoke_test.py
+
+echo "== [12/12] linker gate: no unlinked src/ function outside the allowlist =="
+tools/unlinked_functions.sh build-unlinked
 
 echo "All checks passed."

@@ -9,7 +9,7 @@
 #             and stats unit tests under ThreadSanitizer, then the cross-
 #             thread-count determinism tests at 1 and 8 workers. Any data race
 #             in the parallel shelf/system fan-out, the sharded log pipeline,
-#             or the bootstrap replicate split fails the script.
+#             or the replication engine's batch fan-out fails the script.
 # asan/ubsan — the full ctest suite under AddressSanitizer + UBSan with
 #             -fno-sanitize-recover=all, so any heap error, leak, signed
 #             overflow, or container overflow aborts the offending test.
@@ -52,7 +52,7 @@ run_ctest() {
 if [ "$preset" = tsan ]; then
   # Unit tests for the parallel substrate and everything that fans out on it.
   run_ctest -R 'ThreadPool|ParallelFor|ThreadConfig'
-  run_ctest -R 'Simulator\.|Bootstrap'
+  run_ctest -R 'Simulator\.|Replication\.'
 
   # Observability registry and trace buffers: relaxed per-thread shard writes
   # merged by snapshot() — exactly the lock-free fast path TSan audits. The

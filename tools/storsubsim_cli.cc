@@ -76,6 +76,7 @@
 #include "sim/log_bridge.h"
 #include "sim/precursors.h"
 #include "sim/scenario.h"
+#include "store/mmap_file.h"
 #include "store/parts.h"
 #include "store/query.h"
 #include "util/parallel.h"
@@ -222,14 +223,19 @@ int cmd_simulate(const Args& args) {
         sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard());
     write_batched(std::span<const sim::PrecursorEvent>(precursors), sim::write_precursor_logs);
   }
-  std::ofstream snap(snap_path);
-  if (!snap) {
-    std::cerr << "cannot write " << snap_path << "\n";
+  // Closing flushes: a device that refuses the bytes (a full disk,
+  // /dev/full) fails the stream only then.
+  logs.close();
+  if (!logs) {
+    std::cerr << "cannot write " << log_path << "\n";
     return 1;
   }
   text.clear();
   log::write_snapshot(text, fs.fleet);
-  snap << text.view();
+  if (const auto err = store::write_file(snap_path, text.view()); !err.ok()) {
+    std::cerr << "cannot write " << snap_path << ": " << err.describe() << "\n";
+    return 1;
+  }
 
   std::cerr << "wrote " << lines << " log lines to " << log_path << " and "
             << fs.fleet.systems().size() << "-system snapshot to " << snap_path << "\n";
@@ -260,18 +266,12 @@ bool wants_filter(const Args& args) {
 }
 
 /// The whole of the file at `path`, or nullopt (with the error printed)
-/// when it does not open. Views parsed from the string must not outlive it.
+/// when it does not read. Views parsed from the string must not outlive it.
 std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "cannot read " << path << "\n";
-    return std::nullopt;
-  }
   std::string text;
-  char chunk[1 << 16];
-  while (in) {
-    in.read(chunk, sizeof(chunk));
-    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  if (const auto err = store::read_file(path, &text); !err.ok()) {
+    std::cerr << "cannot read " << path << ": " << err.describe() << "\n";
+    return std::nullopt;
   }
   return text;
 }
