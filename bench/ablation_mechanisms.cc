@@ -9,8 +9,6 @@
 //   hawkes               -> residual disk-failure burstiness (Figure 9 disk curve)
 //   interconnect clusters -> PI burstiness + correlation
 //   driver/congestion     -> protocol / performance burstiness + correlation
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -100,24 +98,10 @@ void report(const bench::Options& options) {
                "finding to its causal mechanism.\n";
 }
 
-void BM_KnockoutRun(benchmark::State& state) {
-  sim::MechanismToggles t;
-  t.interconnect_clusters = state.range(0) != 0;
-  for (auto _ : state) {
-    auto fs = sim::run_mechanism_ablation(t, bench::kTimingScale, 1);
-    benchmark::DoNotOptimize(fs.result.failures.size());
-  }
-}
-BENCHMARK(BM_KnockoutRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/ablation_mechanisms", options);
   return 0;

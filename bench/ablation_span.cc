@@ -6,8 +6,6 @@
 // correlation metrics, quantifying the design guidance in the paper's
 // conclusion ("spanning a RAID group across multiple shelves can reduce the
 // probability of bursty failures").
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -59,22 +57,10 @@ void report(const bench::Options& options) {
                "~3 shelves per group.\n";
 }
 
-void BM_SpanAblationRun(benchmark::State& state) {
-  for (auto _ : state) {
-    auto fs = sim::run_span_ablation(static_cast<std::size_t>(state.range(0)), 0.05, 1);
-    benchmark::DoNotOptimize(fs.result.failures.size());
-  }
-}
-BENCHMARK(BM_SpanAblationRun)->Arg(1)->Arg(3)->Arg(7)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/ablation_span", options);
   return 0;

@@ -8,8 +8,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
@@ -63,17 +61,15 @@ double parse_real(std::string_view flag, std::string_view text) {
   return value;
 }
 
-Options parse_options(int& argc, char** argv) {
+Options parse_options(int argc, char** argv, std::string default_manifest,
+                      const LocalFlag& local) {
   Options options;
-  int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto flag = split_flag(arg);
     const std::string_view name = flag ? flag->first : std::string_view();
     const std::string_view value = flag ? flag->second : std::string_view();
-    if (arg == "--report-only") {
-      options.run_benchmarks = false;
-    } else if (arg == "--csv") {
+    if (arg == "--csv") {
       options.csv = true;
     } else if (arg == "--metrics") {
       options.metrics = true;
@@ -93,27 +89,14 @@ Options parse_options(int& argc, char** argv) {
       options.trace = std::string(value);
     } else if (name == "manifest") {
       options.manifest = std::string(value);
-    } else {
-      argv[out++] = argv[i];  // leave for google-benchmark
-    }
-  }
-  argc = out;
-  util::set_thread_count(options.threads);
-  if (!options.trace.empty()) obs::set_tracing_enabled(true);
-  return options;
-}
-
-Options parse_perf_options(int& argc, char** argv, std::string default_manifest,
-                           const LocalFlag& local) {
-  Options options = parse_options(argc, argv);
-  if (options.manifest.empty()) options.manifest = std::move(default_manifest);
-  for (int i = 1; i < argc; ++i) {
-    const auto flag = split_flag(argv[i]);
-    if (!flag || !local || !local(flag->first, flag->second)) {
-      std::cerr << "unknown flag '" << argv[i] << "'\n";
+    } else if (!flag || !local || !local(name, value)) {
+      std::cerr << "unknown flag '" << arg << "'\n";
       std::exit(2);
     }
   }
+  if (options.manifest.empty()) options.manifest = std::move(default_manifest);
+  util::set_thread_count(options.threads);
+  if (!options.trace.empty()) obs::set_tracing_enabled(true);
   return options;
 }
 
@@ -170,53 +153,17 @@ void finish_run(const std::string& tool, const Options& options,
   }
 }
 
-const core::SimulationDataset& standard_dataset(const Options& options) {
-  if (!options.store.empty()) {
-    // Prebuilt-store fast path: mmap + rehydrate instead of simulating.
-    // Cached on path so repeated report sections don't re-open the file.
-    static std::mutex store_mutex;
-    static std::string store_path;
-    static std::unique_ptr<core::SimulationDataset> store_dataset;
-    std::lock_guard<std::mutex> lock(store_mutex);
-    if (!store_dataset || store_path != options.store) {
-      store::EventStore es;
-      if (const auto err = es.open(options.store); !err.ok()) {
-        std::cerr << "cannot open store " << options.store << ": " << err.describe() << "\n";
-        std::exit(1);
-      }
-      store_dataset = std::make_unique<core::SimulationDataset>(
-          core::simulation_dataset_from_store(es));
-      store_path = options.store;
-      g_store_read = options.store;
-    }
-    return *store_dataset;
+core::SimulationDataset standard_dataset(const Options& options) {
+  if (options.store.empty()) {
+    return core::simulate_and_analyze(model::standard_fleet_config(options.scale, options.seed));
   }
-
-  using Key = std::pair<double, std::uint64_t>;
-  struct Entry {
-    Key key;
-    std::unique_ptr<core::SimulationDataset> value;
-  };
-  // LRU of at most 2 datasets (most-recently-used last): a seed or scale
-  // sweep touches many keys but only ever compares neighbors.
-  static std::mutex mutex;
-  static std::vector<Entry> cache;
-  constexpr std::size_t kMaxEntries = 2;
-
-  const Key key{options.scale, options.seed};
-  std::lock_guard<std::mutex> lock(mutex);
-  for (std::size_t i = 0; i < cache.size(); ++i) {
-    if (cache[i].key == key) {
-      std::rotate(cache.begin() + static_cast<std::ptrdiff_t>(i),
-                  cache.begin() + static_cast<std::ptrdiff_t>(i) + 1, cache.end());
-      return *cache.back().value;
-    }
+  store::EventStore es;
+  if (const auto err = es.open(options.store); !err.ok()) {
+    std::cerr << "cannot open store " << options.store << ": " << err.describe() << "\n";
+    std::exit(1);
   }
-  auto dataset = std::make_unique<core::SimulationDataset>(core::simulate_and_analyze(
-      model::standard_fleet_config(options.scale, options.seed)));
-  if (cache.size() >= kMaxEntries) cache.erase(cache.begin());
-  cache.push_back(Entry{key, std::move(dataset)});
-  return *cache.back().value;
+  g_store_read = options.store;
+  return core::simulation_dataset_from_store(es);
 }
 
 void print_banner(std::ostream& out, const std::string& exhibit, const Options& options,

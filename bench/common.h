@@ -1,15 +1,17 @@
-// Shared infrastructure for the experiment harnesses.
+// Shared infrastructure for the bench programs.
 //
-// Every bench binary reproduces one paper exhibit. Running a binary does two
-// things: (1) google-benchmark timings of the pipeline stages involved, at a
-// reduced fleet scale, and (2) a report that regenerates the exhibit's
-// rows/series at the configured scale, printed next to the paper's reference
-// values.
+// The 13 exhibit programs each regenerate one paper exhibit (Table 1,
+// Figures 4-10, and the extensions): they print the exhibit's rows/series at
+// the configured scale next to the paper's reference values, and nothing
+// else. The six perf harnesses (parallel_baseline, pipeline_throughput,
+// store_bench, decode_bench, replicate_bench, serve_bench) share one shape:
+// obs::now_seconds() timing through min_of_n(), and one output file — the
+// obs::RunManifest finish_run() writes, whose flat `numbers` carry every
+// measurement and gate result.
 //
-// Flags (ours are consumed before google-benchmark sees the rest):
-//   --report-only          skip the timing benchmarks
-//   --scale=<float>        fleet scale for the report (default 1.0 = the
-//                          paper's full ~39k-system fleet)
+// Every program parses its flags through parse_options():
+//   --scale=<float>        fleet scale (default 1.0 = the paper's full
+//                          ~39k-system fleet)
 //   --seed=<int>           simulation seed
 //   --threads=<int>        worker threads for the simulator / log pipeline /
 //                          store writer (default: STORSIM_THREADS env, else
@@ -25,15 +27,12 @@
 //                          metrics); the perf harnesses always write one,
 //                          defaulting to BENCH_<name>.json
 //   --repeat=<int>         min-of-N runs per timed stage (perf harnesses)
-//
-// A malformed numeric value (not a number, negative, non-finite, or out of
-// range) prints "invalid --FLAG value 'V'" and exits 2.
-//
-// The six perf harnesses (parallel_baseline, pipeline_throughput,
-// store_bench, decode_bench, replicate_bench, serve_bench) share one shape:
-// parse_perf_options(), obs::now_seconds() timing through min_of_n(), and
-// one output file — the obs::RunManifest finish_run() writes, whose flat
-// `numbers` carry every measurement and gate result.
+// plus the harness's own local flags. Any other argument prints
+// "unknown flag '<arg>'" and exits 2; a malformed numeric value (not a
+// number, negative, non-finite, or out of range) prints
+// "invalid --FLAG value 'V'" and exits 2. A flag above that a program does
+// not use (--csv on a perf harness, --store on a simulation-only exhibit) is
+// accepted and ignored.
 #pragma once
 
 #include <algorithm>
@@ -59,7 +58,6 @@ struct Options {
   std::uint64_t seed = 20080226;
   unsigned threads = 0;  ///< 0 = auto (env var / hardware concurrency)
   std::string store;     ///< non-empty: mmap this store file, skip simulation
-  bool run_benchmarks = true;
   bool csv = false;
   bool metrics = false;   ///< print the metric snapshot to stderr at exit
   std::string trace;      ///< non-empty: write the Chrome trace here
@@ -67,22 +65,17 @@ struct Options {
   int repeat = 3;         ///< min-of-N runs per timed stage (>= 1; perf harnesses)
 };
 
-/// Parses and strips our flags from argv (google-benchmark parses the rest).
-/// Tracing is enabled immediately when --trace is present, so spans recorded
-/// during the report are captured.
-Options parse_options(int& argc, char** argv);
-
 /// A harness-local `--name=value` flag: returns false for a name the harness
 /// does not take.
 using LocalFlag = std::function<bool(std::string_view name, std::string_view value)>;
 
-/// The perf harnesses' parse: parse_options() with the manifest defaulting to
-/// `default_manifest`, then every leftover `--name=value` goes to `local`;
-/// a flag outside Options and the harness-local set prints "unknown flag"
-/// and exits 2. An Options flag the harness does not use is accepted and
-/// ignored.
-Options parse_perf_options(int& argc, char** argv, std::string default_manifest,
-                           const LocalFlag& local = {});
+/// Parses argv: every Options flag, then `--name=value` flags the harness
+/// takes through `local`; anything else prints "unknown flag" and exits 2.
+/// The manifest defaults to `default_manifest` (empty: none). Tracing is
+/// enabled immediately when --trace is present, so spans recorded during the
+/// run are captured.
+Options parse_options(int argc, char** argv, std::string default_manifest = {},
+                      const LocalFlag& local = {});
 
 /// Numeric flag values: the whole of `text` must parse (std::from_chars) to a
 /// non-negative integer <= max / a finite non-negative real, or the process
@@ -136,13 +129,10 @@ void finish_run(const std::string& tool, const Options& options,
                 const std::vector<std::pair<std::string, double>>& numbers = {},
                 const std::vector<std::pair<std::string, std::string>>& info = {});
 
-/// Simulates the standard fleet and caches the result keyed on
-/// (scale, seed); the text-log round-trip is included so the report measures
-/// the same end-to-end path the paper's analysis took. The cache is a small
-/// LRU (at most 2 datasets) so seed/scale sweeps don't grow memory without
-/// bound, and it is mutex-guarded for threaded benches. A returned reference
-/// stays valid until two further calls with *different* keys evict it.
-const core::SimulationDataset& standard_dataset(const Options& options);
+/// The standard fleet at (scale, seed), simulated through the text-log round
+/// trip so the report measures the same end-to-end path the paper's analysis
+/// took; or, with --store, the dataset rehydrated from that store.
+core::SimulationDataset standard_dataset(const Options& options);
 
 /// Prints the exhibit banner: what is being reproduced, fleet scale, and the
 /// dataset's headline statistics.
@@ -154,9 +144,5 @@ void print_table(std::ostream& out, const core::TextTable& table, const Options&
 
 /// Formats an AFR breakdown row: total + per-type percentages.
 std::string afr_cell(const core::AfrBreakdown& b, model::FailureType type);
-
-/// The scale google-benchmark timing loops use (kept small so the timing
-/// section stays in milliseconds).
-inline constexpr double kTimingScale = 0.02;
 
 }  // namespace storsubsim::bench

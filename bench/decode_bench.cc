@@ -72,7 +72,7 @@ struct ShardData {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_perf_options(argc, argv, "BENCH_decode.json");
+  const auto options = bench::parse_options(argc, argv, "BENCH_decode.json");
   const int repeat = options.repeat;
   const std::string store_path = bench::input_store(options, "decode");
   store::EventStore es;

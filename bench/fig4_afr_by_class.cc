@@ -6,8 +6,6 @@
 // storage subsystem failures (physical interconnects 27-68%, protocol 5-10%,
 // performance 4-8%), and near-line systems have worse disks but a *better*
 // subsystem AFR than low-end systems.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -63,7 +61,7 @@ void panel(const core::Dataset& ds, const char* title, bool with_paper,
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout,
                       "Figure 4: AFR by system class, broken down by failure type", options,
                       sd);
@@ -79,39 +77,10 @@ void report(const bench::Options& options) {
                "subsystem AFR < low-end subsystem AFR.\n";
 }
 
-void BM_AfrByClass(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  core::Filter no_h;
-  no_h.exclude_family_h = true;
-  for (auto _ : state) {
-    const auto cohort = sd.dataset.filter(no_h);
-    const auto rows = core::afr_by_class(core::Source(cohort));
-    benchmark::DoNotOptimize(rows.size());
-  }
-}
-BENCHMARK(BM_AfrByClass)->Unit(benchmark::kMillisecond);
-
-void BM_FilterExcludeH(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  core::Filter no_h;
-  no_h.exclude_family_h = true;
-  for (auto _ : state) {
-    const auto filtered = sd.dataset.filter(no_h);
-    benchmark::DoNotOptimize(filtered.events().size());
-  }
-}
-BENCHMARK(BM_FilterExcludeH)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/fig4_afr_by_class", options);
   return 0;

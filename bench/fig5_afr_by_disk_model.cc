@@ -5,8 +5,6 @@
 // AFR (with elevated protocol/performance rates, not just disk rates); disk
 // AFR is stable across environments while subsystem AFR is not; and AFR does
 // not grow with capacity within a family.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -33,7 +31,7 @@ const Panel kPanels[6] = {
 };
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout, "Figure 5: AFR by disk model (6 class x shelf panels)",
                       options, sd);
 
@@ -87,36 +85,10 @@ void report(const bench::Options& options) {
   }
 }
 
-void BM_AfrByDiskModel(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  core::Filter f;
-  f.system_class = model::SystemClass::kLowEnd;
-  f.shelf_model = model::ShelfModelName{'A'};
-  const auto cohort = sd.dataset.filter(f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::afr_by_disk_model(cohort).size());
-  }
-}
-BENCHMARK(BM_AfrByDiskModel)->Unit(benchmark::kMillisecond);
-
-void BM_StabilityAnalysis(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::afr_stability_by_disk_model(sd.dataset).size());
-  }
-}
-BENCHMARK(BM_StabilityAnalysis)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/fig5_afr_by_disk_model", options);
   return 0;

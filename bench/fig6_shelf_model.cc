@@ -5,8 +5,6 @@
 // physical interconnect failures (little on other types), the difference is
 // significant at >= 99.5% confidence, and the *better* shelf model flips
 // between disk models (B wins for A-2; A wins for A-3, D-2 and D-3).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -34,7 +32,7 @@ const PaperRef kPaper[4] = {
 };
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout,
                       "Figure 6: low-end AFR by shelf enclosure model (per disk model)",
                       options, sd);
@@ -79,33 +77,10 @@ void report(const bench::Options& options) {
                "the total columns against Figure 5's per-type splits).\n";
 }
 
-void BM_CohortComparison(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  core::Filter fa;
-  fa.system_class = model::SystemClass::kLowEnd;
-  fa.disk_model = model::DiskModelName{'A', 2};
-  fa.shelf_model = model::ShelfModelName{'A'};
-  core::Filter fb = fa;
-  fb.shelf_model = model::ShelfModelName{'B'};
-  const auto a = sd.dataset.filter(fa);
-  const auto b = sd.dataset.filter(fb);
-  for (auto _ : state) {
-    const auto cmp = core::compare_cohorts(a, "A", b, "B",
-                                           model::FailureType::kPhysicalInterconnect, 0.995);
-    benchmark::DoNotOptimize(cmp.focus_test.p_value_two_sided);
-  }
-}
-BENCHMARK(BM_CohortComparison)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/fig6_shelf_model", options);
   return 0;

@@ -6,8 +6,6 @@
 // subsystem AFR by 30-40%, significant at 99.9% confidence — far short of
 // the idealized squared-probability reduction because backplane faults and
 // shared-HBA failures are not maskable.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -24,7 +22,7 @@ struct PaperRef {
 const PaperRef kPaper[2] = {{1.82, 0.91}, {2.13, 0.90}};  // mid-range, high-end
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout, "Figure 7: AFR by number of interconnect paths", options,
                       sd);
 
@@ -67,41 +65,10 @@ void report(const bench::Options& options) {
                "covers only the network segment) and imperfect path independence.\n";
 }
 
-void BM_MultipathComparison(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  core::Filter fs;
-  fs.system_class = model::SystemClass::kHighEnd;
-  fs.paths = model::PathConfig::kSinglePath;
-  core::Filter fd = fs;
-  fd.paths = model::PathConfig::kDualPath;
-  const auto a = sd.dataset.filter(fs);
-  const auto b = sd.dataset.filter(fd);
-  for (auto _ : state) {
-    const auto cmp = core::compare_cohorts(a, "s", b, "d",
-                                           model::FailureType::kPhysicalInterconnect, 0.999);
-    benchmark::DoNotOptimize(cmp.focus_reduction());
-  }
-}
-BENCHMARK(BM_MultipathComparison)->Unit(benchmark::kMillisecond);
-
-void BM_AfrByPathConfig(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::afr_by_path_config(sd.dataset).size());
-  }
-}
-BENCHMARK(BM_AfrByPathConfig)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/fig7_multipath", options);
   return 0;

@@ -7,8 +7,6 @@
 // subsystem failures in a shelf arrive within 10^4 s vs ~30% in a RAID
 // group; the Gamma is the best-fitting distribution for disk-failure
 // interarrivals while the bursty types fit no common distribution.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -101,7 +99,7 @@ void per_class_panel(const core::Dataset& ds, const bench::Options& options) {
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout, "Figure 9: CDFs of time between failures", options, sd);
   cdf_panel(sd.dataset, core::Scope::kShelf, "(a) failure distribution within a shelf",
             options);
@@ -111,38 +109,10 @@ void report(const bench::Options& options) {
   per_class_panel(sd.dataset, options);
 }
 
-void BM_TimeBetweenFailures(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  for (auto _ : state) {
-    const auto r = core::time_between_failures(
-        core::Source(sd.dataset),
-        state.range(0) == 0 ? core::Scope::kShelf : core::Scope::kRaidGroup);
-    benchmark::DoNotOptimize(r.gap_count(core::kOverallSeries));
-  }
-}
-BENCHMARK(BM_TimeBetweenFailures)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_DistributionFits(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  const auto shelf = core::time_between_failures(core::Source(sd.dataset), core::Scope::kShelf);
-  const auto& gaps = shelf.gaps[core::kOverallSeries];
-  for (auto _ : state) {
-    const auto report = core::fit_interarrivals(gaps, 15, 150);
-    benchmark::DoNotOptimize(report.candidates.size());
-  }
-}
-BENCHMARK(BM_DistributionFits)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/fig9_tbf_cdf", options);
   return 0;

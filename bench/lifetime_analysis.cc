@@ -8,8 +8,6 @@
 // simulated fleet: Kaplan-Meier survival by disk type, the age-binned hazard
 // (flat by default), and an infant-mortality ablation showing what the
 // FAST'07-style bathtub edge would look like in this pipeline.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -35,7 +33,7 @@ void hazard_table(const core::LifetimeReport& report, const bench::Options& opti
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout, "Extension: disk lifetime survival and age-hazard",
                       options, sd);
 
@@ -81,35 +79,10 @@ void report(const bench::Options& options) {
                "bathtub edge would surface in the same tables.\n";
 }
 
-void BM_LifetimeReport(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  for (auto _ : state) {
-    const auto r = core::disk_lifetime_report(core::Source(sd.dataset));
-    benchmark::DoNotOptimize(r.failures);
-  }
-}
-BENCHMARK(BM_LifetimeReport)->Unit(benchmark::kMillisecond);
-
-void BM_KaplanMeierFit(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  const auto observations = core::disk_lifetime_observations(core::Source(sd.dataset));
-  for (auto _ : state) {
-    const auto km = storsubsim::stats::KaplanMeier::fit(observations);
-    benchmark::DoNotOptimize(km.total_events());
-  }
-}
-BENCHMARK(BM_KaplanMeierFit)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/lifetime_analysis", options);
   return 0;

@@ -47,7 +47,7 @@ bool datasets_equal(const core::SimulationDataset& a, const core::SimulationData
 
 int main(int argc, char** argv) {
   std::vector<unsigned> threads_list = {1, 2, 4, 8};
-  const auto options = bench::parse_perf_options(
+  const auto options = bench::parse_options(
       argc, argv, "BENCH_parallel.json", [&](std::string_view name, std::string_view value) {
         if (name != "threads-list") return false;
         threads_list.clear();

@@ -33,7 +33,7 @@
 
 int main(int argc, char** argv) {
   using namespace storsubsim;
-  const auto options = bench::parse_perf_options(argc, argv, "BENCH_pipeline.json");
+  const auto options = bench::parse_options(argc, argv, "BENCH_pipeline.json");
 
   const auto simulation =
       sim::simulate_fleet(model::standard_fleet_config(options.scale, options.seed));

@@ -7,8 +7,6 @@
 // precision/recall trade-off. Protocol failures have no component-error
 // precursor (driver incompatibilities strike without hardware warning),
 // which keeps one failure type honest: no predictor should show skill there.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -86,36 +84,10 @@ void report(const bench::Options& options) {
                "and motivating type-specific resiliency (its future-work direction).\n";
 }
 
-void BM_PrecursorGeneration(benchmark::State& state) {
-  auto fs = sim::run_standard(bench::kTimingScale, 1);
-  for (auto _ : state) {
-    const auto p =
-        sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard());
-    benchmark::DoNotOptimize(p.size());
-  }
-}
-BENCHMARK(BM_PrecursorGeneration)->Unit(benchmark::kMillisecond);
-
-void BM_PredictorEvaluation(benchmark::State& state) {
-  auto fs = sim::run_standard(bench::kTimingScale, 1);
-  const auto precursors =
-      sim::generate_precursors(fs.fleet, fs.result, sim::PrecursorParams::standard());
-  const auto ds = core::dataset_in_memory(fs.fleet, fs.result);
-  for (auto _ : state) {
-    const auto r = core::evaluate_predictor(ds, precursors, core::PredictorConfig{});
-    benchmark::DoNotOptimize(r.alarms);
-  }
-}
-BENCHMARK(BM_PredictorEvaluation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/prediction_eval", options);
   return 0;

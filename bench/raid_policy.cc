@@ -7,8 +7,6 @@
 // SLA-facing numbers — data-loss incidents per 1000 group-years, degraded
 // time, zero-redundancy exposure — under the fleet's real (correlated,
 // bursty) failure behavior.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -82,24 +80,10 @@ void report(const bench::Options& options) {
                "RAID4 is the paper's burst-tolerance recommendation in action.\n";
 }
 
-void BM_RecoveryReplay(benchmark::State& state) {
-  auto fs = sim::run_standard(bench::kTimingScale, 1);
-  const sim::RecoveryPolicy policy;
-  for (auto _ : state) {
-    const auto r = sim::replay_raid_recovery(fs.fleet, fs.result, policy);
-    benchmark::DoNotOptimize(r.data_loss_events_raid4);
-  }
-}
-BENCHMARK(BM_RecoveryReplay)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto options = bench::parse_options(argc, argv);
-  if (options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
   report(options);
   bench::finish_run("bench/raid_policy", options);
   return 0;

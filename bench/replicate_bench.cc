@@ -48,7 +48,7 @@ double afr_total_rel_hw(const replicate::ReplicateSummary& summary) {
 
 int main(int argc, char** argv) {
   double ci_rel = 0.15;
-  const auto options = bench::parse_perf_options(
+  const auto options = bench::parse_options(
       argc, argv, "BENCH_replicate.json", [&](std::string_view name, std::string_view value) {
         if (name != "ci-rel") return false;
         ci_rel = bench::parse_real(name, value);

@@ -113,7 +113,7 @@ RungResult run_rung(const std::string& socket_path, std::size_t clients,
 
 int main(int argc, char** argv) {
   std::uint64_t per_client = 250;
-  const auto options = bench::parse_perf_options(
+  const auto options = bench::parse_options(
       argc, argv, "BENCH_serve.json", [&](std::string_view name, std::string_view value) {
         if (name != "requests") return false;
         per_client = bench::parse_count(name, value);

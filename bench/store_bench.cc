@@ -2,8 +2,8 @@
 //
 // Measures the three costs the store trades between (docs/STORE.md):
 //
-//   * pipeline — the full simulate -> emit -> parse -> classify path that a
-//     `--report-only` rerun used to pay every time;
+//   * pipeline — the full simulate -> emit -> parse -> classify path that an
+//     exhibit rerun without --store pays every time;
 //   * build    — serializing the finished run into a store file (paid once);
 //   * rerun    — mmap the store, decode the time columns, and answer the
 //     whole-fleet AFR breakdown plus a grouped query (paid per reanalysis).
@@ -68,7 +68,7 @@ bool same_breakdown(const std::vector<core::AfrBreakdown>& a,
 int main(int argc, char** argv) {
   std::size_t shard_opt = 0;
   std::uint64_t max_rss_mb = 0;
-  const auto options = bench::parse_perf_options(
+  const auto options = bench::parse_options(
       argc, argv, "BENCH_store.json", [&](std::string_view name, std::string_view value) {
         if (name == "shards") {
           shard_opt = bench::parse_count(name, value);

@@ -11,8 +11,6 @@
 // proportionally higher); panel (b) switches to a back-loaded growing-fleet
 // deployment with ~1 y mean exposure, which reproduces the paper's absolute
 // counts. All rates are deployment-invariant. EXPERIMENTS.md discusses it.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common.h"
@@ -81,7 +79,7 @@ void overview_table(const core::Dataset& dataset, const bench::Options& options)
 }
 
 void report(const bench::Options& options) {
-  const auto& sd = bench::standard_dataset(options);
+  const auto sd = bench::standard_dataset(options);
   bench::print_banner(std::cout, "Table 1: overview of the studied storage systems", options,
                       sd);
   std::cout << "(a) standard deployment model (uniform over the first half of the study; "
@@ -103,50 +101,11 @@ void report(const bench::Options& options) {
                "paper's Table 1 column while all AFRs stay unchanged (they are rates).\n";
 }
 
-bench::Options g_options;
-
-void BM_FleetBuild(benchmark::State& state) {
-  const auto config = model::standard_fleet_config(bench::kTimingScale, 1);
-  for (auto _ : state) {
-    auto fleet = model::Fleet::build(config);
-    benchmark::DoNotOptimize(fleet.disks().size());
-  }
-}
-BENCHMARK(BM_FleetBuild)->Unit(benchmark::kMillisecond);
-
-void BM_EndToEndPipeline(benchmark::State& state) {
-  const auto config = model::standard_fleet_config(bench::kTimingScale, 1);
-  for (auto _ : state) {
-    const auto sd = core::simulate_and_analyze(config);
-    benchmark::DoNotOptimize(sd.dataset.events().size());
-  }
-}
-BENCHMARK(BM_EndToEndPipeline)->Unit(benchmark::kMillisecond);
-
-void BM_Table1Aggregation(benchmark::State& state) {
-  const auto sd = core::simulate_and_analyze(
-      model::standard_fleet_config(bench::kTimingScale, 1));
-  for (auto _ : state) {
-    for (const auto cls : model::kAllSystemClasses) {
-      core::Filter f;
-      f.system_class = cls;
-      const auto cohort = sd.dataset.filter(f);
-      benchmark::DoNotOptimize(cohort.selected_disk_record_count());
-      benchmark::DoNotOptimize(cohort.disk_exposure_years());
-    }
-  }
-}
-BENCHMARK(BM_Table1Aggregation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_options = bench::parse_options(argc, argv);
-  if (g_options.run_benchmarks) {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  report(g_options);
-  bench::finish_run("bench/table1_overview", g_options);
+  const auto options = bench::parse_options(argc, argv);
+  report(options);
+  bench::finish_run("bench/table1_overview", options);
   return 0;
 }

@@ -120,19 +120,6 @@ std::vector<AfrBreakdown> afr_by_disk_model(const Dataset& dataset) {
   return out;
 }
 
-std::vector<AfrBreakdown> afr_by_path_config(const Dataset& dataset) {
-  std::vector<AfrBreakdown> out;
-  for (const auto paths :
-       {model::PathConfig::kSinglePath, model::PathConfig::kDualPath}) {
-    Filter f;
-    f.paths = paths;
-    const Dataset cohort = dataset.filter(f);
-    if (cohort.selected_system_count() == 0) continue;
-    out.push_back(compute_afr(cohort, std::string(model::to_string(paths))));
-  }
-  return out;
-}
-
 std::vector<StabilityRow> afr_stability_by_disk_model(const Dataset& dataset) {
   // Environment = (system class, shelf model). For each disk model, compute
   // the per-environment disk-failure AFR and subsystem AFR, then summarize

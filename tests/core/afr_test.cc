@@ -133,33 +133,6 @@ TEST(AfrGroupings, ByDiskAndShelfModelLabels) {
   EXPECT_EQ(ds.filter(shelf_a).selected_system_count(), 0u);
 }
 
-TEST(AfrGroupings, ByPathConfig) {
-  auto inv = uniform_inventory(10, 1.0, model::SystemClass::kHighEnd);
-  // Add a second, dual-path system with 10 more disks.
-  log_ns::InventorySystem s1 = inv->systems[0];
-  s1.id = model::SystemId(1);
-  s1.paths = model::PathConfig::kDualPath;
-  inv->systems.push_back(s1);
-  inv->shelves.push_back({model::ShelfId(1), model::SystemId(1), s1.shelf_model});
-  inv->raid_groups.push_back(
-      {model::RaidGroupId(1), model::SystemId(1), model::RaidType::kRaid4, 10, 1});
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    auto d = inv->disks[0];
-    d.id = model::DiskId(10 + i);
-    d.system = model::SystemId(1);
-    d.shelf = model::ShelfId(1);
-    d.raid_group = model::RaidGroupId(1);
-    inv->disks.push_back(d);
-  }
-  const core::Dataset ds(inv, {ev(5.0, 0, model::FailureType::kPhysicalInterconnect)});
-  const auto rows = core::afr_by_path_config(ds);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].label, "single-path");
-  EXPECT_EQ(rows[1].label, "dual-path");
-  EXPECT_EQ(rows[0].total_events(), 1u);
-  EXPECT_EQ(rows[1].total_events(), 0u);
-}
-
 TEST(AfrStability, RequiresTwoEnvironments) {
   const auto inv = uniform_inventory(10, 1.0, model::SystemClass::kLowEnd);
   const core::Dataset ds(inv, {});

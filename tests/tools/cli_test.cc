@@ -544,3 +544,44 @@ TEST_F(CliTest, AnalyzeRejectsADirectoryAsAnInputFile) {
     EXPECT_NE(err.find("cannot read"), std::string::npos) << args << "\n" << err;
   }
 }
+
+// A log or snapshot that does not read or parse is a failed run: exit 1 with
+// its own message and no usage text. A missing flag or a bad --class stays a
+// bad invocation: usage text and exit 2.
+TEST_F(CliTest, UnreadableInputExitsOneWithoutUsage) {
+  const std::string missing = temp_path("cli_missing.log");
+  const std::string dir = ::testing::TempDir();
+  const std::string corrupt = temp_path("cli_corrupt.snap");
+  {
+    const std::string snap = read_file(snap_path_);
+    std::ofstream(corrupt, std::ios::binary) << snap.substr(0, snap.size() / 2);
+  }
+  const struct {
+    std::string inputs;
+    const char* message;
+  } cases[] = {
+      {"--logs " + missing + " --snapshot " + snap_path_, "cannot read"},
+      {"--logs " + dir + " --snapshot " + snap_path_, "cannot read"},
+      {"--logs " + logs_path_ + " --snapshot " + corrupt, "snapshot error"},
+  };
+  for (const char* command : {"analyze --report afr", "predict"}) {
+    for (const auto& c : cases) {
+      const std::string args = std::string(command) + " " + c.inputs;
+      const auto [status, err] = run_cli_stderr(args);
+      ASSERT_TRUE(WIFEXITED(status)) << args;
+      EXPECT_EQ(WEXITSTATUS(status), 1) << args << "\n" << err;
+      EXPECT_NE(err.find(c.message), std::string::npos) << args << "\n" << err;
+      EXPECT_EQ(err.find("usage:"), std::string::npos) << args << "\n" << err;
+    }
+  }
+  for (const std::string& args :
+       {"analyze --report afr --logs " + logs_path_,
+        "analyze --report afr --logs " + logs_path_ + " --snapshot " + snap_path_ +
+            " --class warp-core"}) {
+    const auto [status, err] = run_cli_stderr(args);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args << "\n" << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << args << "\n" << err;
+  }
+  std::remove(corrupt.c_str());
+}

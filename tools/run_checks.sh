@@ -4,9 +4,9 @@
 #   tools/run_checks.sh [extra ctest args...]
 #
 #   1. configure + build the default preset
-#   2. ctest (590 cases: unit/integration tests, the storsim_lint fixture
-#      suite, the StorsimLint.TreeIsClean gate, and the bench flag-parsing
-#      cases).
+#   2. ctest (604 cases: unit/integration tests, the storsim_lint fixture
+#      suite, the StorsimLint.TreeIsClean gate, the bench flag-parsing
+#      cases, and one scale-0.01 run of each of the 13 exhibit programs).
 #      GoldenFormat.FullFleetLogAndSnapshotDigest pins the full-scale log
 #      and snapshot bytes and checks that classification recovers the
 #      simulated failures one by one; StoreGolden.FullScaleImageDigest pins

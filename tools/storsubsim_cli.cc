@@ -321,15 +321,19 @@ std::optional<core::SimulationDataset> load_logs(
       sim::SimCounters{}, pipeline};
 }
 
-std::optional<core::Dataset> load_dataset(const Args& args,
-                                          std::vector<sim::PrecursorEvent>* precursors_out,
-                                          std::string log_path = "") {
+/// Loads `--logs` (or `log_path`) and `--snapshot` into `*out`, filtered by
+/// --class/--exclude-h. Returns 0, or the exit code to answer with: usage()
+/// for a missing flag or a bad --class, 1 (with the error printed) when a
+/// file does not read or parse.
+int load_dataset(const Args& args, std::optional<core::Dataset>* out,
+                 std::vector<sim::PrecursorEvent>* precursors_out, std::string log_path = "") {
   if (log_path.empty()) log_path = args.get("logs");
   const std::string snap_path = args.get("snapshot");
-  if (log_path.empty() || snap_path.empty()) return std::nullopt;
+  if (log_path.empty() || snap_path.empty()) return usage();
   const auto loaded = load_logs(log_path, snap_path, /*echo_parse=*/true, precursors_out);
-  if (!loaded) return std::nullopt;
-  return apply_cli_filter(loaded->dataset, args);
+  if (!loaded) return 1;
+  *out = apply_cli_filter(loaded->dataset, args);
+  return *out ? 0 : usage();
 }
 
 void print(const core::TextTable& table, const Args& args) {
@@ -397,9 +401,12 @@ int cmd_analyze(const Args& args) {
                              report == "vulnerability";
   std::optional<core::Dataset> dataset;
   if (needs_dataset) {
-    dataset = parts ? apply_cli_filter(core::dataset_from_store(*parts), args)
-                    : load_dataset(args, nullptr, log_path);
-    if (!dataset) return usage();
+    if (parts) {
+      dataset = apply_cli_filter(core::dataset_from_store(*parts), args);
+      if (!dataset) return usage();
+    } else if (const int code = load_dataset(args, &dataset, nullptr, log_path); code != 0) {
+      return code;
+    }
   }
   // One polymorphic handle for the analysis calls below: the filtered Dataset
   // when one was built, the mapped store otherwise.
@@ -505,8 +512,8 @@ int cmd_inspect(const Args& args) {
 
 int cmd_predict(const Args& args) {
   std::vector<sim::PrecursorEvent> precursors;
-  const auto dataset = load_dataset(args, &precursors);
-  if (!dataset) return usage();
+  std::optional<core::Dataset> dataset;
+  if (const int code = load_dataset(args, &dataset, &precursors); code != 0) return code;
   if (precursors.empty()) {
     std::cerr << "no component-error records in the logs — simulate with --precursors\n";
     return 1;
